@@ -33,7 +33,7 @@ use cardiotouch_dsp::streaming::{
     DerivativeState, HistoryRing, StreamingDerivative, StreamingZeroPhase, ZeroPhaseState,
 };
 use cardiotouch_dsp::window::Window;
-use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, ZeroPhaseScratch};
+use cardiotouch_dsp::zero_phase::filtfilt_fir_span_into;
 use cardiotouch_ecg::online::OnlinePanTompkins;
 use cardiotouch_icg::filter::IcgConditioner;
 use cardiotouch_icg::online::{BeatDelineator, OnlineBeat};
@@ -384,7 +384,9 @@ pub struct BeatStream {
     /// Confirmed raw-apex R peaks awaiting refinement context.
     raw_rs: VecDeque<usize>,
     last_refined_r: Option<usize>,
-    zp: ZeroPhaseScratch,
+    /// Forward-pass workspace of the span-limited refinement filter.
+    refine_work: Vec<f64>,
+    /// The filtered ±40 ms search span.
     refine_buf: Vec<f64>,
     /// Raw context kept around each apex for local zero-phase filtering.
     ctx: usize,
@@ -476,7 +478,7 @@ impl BeatStream {
             ecg_ring: HistoryRing::new(),
             raw_rs: VecDeque::new(),
             last_refined_r: None,
-            zp: ZeroPhaseScratch::new(),
+            refine_work: Vec::new(),
             refine_buf: Vec::new(),
             ctx: (0.4 * fs) as usize,
             search: (0.04 * fs) as usize,
@@ -997,11 +999,11 @@ impl BeatStream {
     /// delay line, ring buffer, adaptive threshold, ladder counter and
     /// holdover flag — as plain data ([`BeatStreamSnapshot`]).
     ///
-    /// Scratch buffers (`ZeroPhaseScratch`, the per-hop work vectors)
-    /// are pure workspace and never captured; coefficient sets are
-    /// shared `Arc`s re-derived from the design cache by
-    /// [`BeatStream::restore`]. A snapshot taken between two `push`
-    /// calls and restored into a fresh stream resumes **bitwise
+    /// Scratch buffers (the refinement filter's span workspace, the
+    /// per-hop work vectors) are pure workspace and never captured;
+    /// coefficient sets are shared `Arc`s re-derived from the design
+    /// cache by [`BeatStream::restore`]. A snapshot taken between two
+    /// `push` calls and restored into a fresh stream resumes **bitwise
     /// identically** — the conformance migration leg pins this across
     /// the whole golden corpus.
     #[must_use]
@@ -1093,21 +1095,31 @@ impl BeatStream {
     /// local window is wide enough (±0.4 s around a ±0.04 s search) that
     /// the filtered interior is edge-effect free, so the argmax agrees
     /// with the batch apex wherever the slow baseline is locally smooth.
+    /// Only the search span of the window's zero-phase rendering is
+    /// computed, bitwise equal to filtering the whole window.
     fn refine_r(&mut self, r: usize) -> usize {
         let lo = r.saturating_sub(self.ctx).max(self.ecg_ring.base());
         let hi = (r + self.ctx + 1).min(self.ecg_ring.end());
         if hi <= lo + 2 {
             return r;
         }
-        let seg = self.ecg_ring.slice(lo, hi);
-        if filtfilt_fir_into(&self.ecg_fir, seg, &mut self.zp, &mut self.refine_buf).is_err() {
-            return r;
-        }
         let s_lo = r.saturating_sub(self.search).max(lo);
         let s_hi = (r + self.search + 1).min(hi);
+        let span = s_lo - lo..s_hi.saturating_sub(lo);
+        let seg = self.ecg_ring.slice(lo, hi);
+        if filtfilt_fir_span_into(
+            &self.ecg_fir,
+            seg,
+            span,
+            &mut self.refine_work,
+            &mut self.refine_buf,
+        )
+        .is_err()
+        {
+            return r;
+        }
         let mut best = (r, f64::MIN);
-        for i in s_lo..s_hi {
-            let v = self.refine_buf[i - lo];
+        for (i, &v) in (s_lo..).zip(&self.refine_buf) {
             if v > best.1 {
                 best = (i, v);
             }
@@ -1600,6 +1612,84 @@ mod tests {
         for (a, b) in out.iter().zip(&ref_out) {
             assert_eq!(qkey(a), qkey(b));
         }
+    }
+
+    /// The full-window refinement oracle: filter the whole ±0.4 s window
+    /// with `filtfilt_fir_into`, then argmax over the ±40 ms search.
+    /// Returns the refined R and the filtered search span.
+    fn refine_r_full_window(s: &BeatStream, r: usize) -> (usize, Vec<f64>) {
+        use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, ZeroPhaseScratch};
+        let lo = r.saturating_sub(s.ctx).max(s.ecg_ring.base());
+        let hi = (r + s.ctx + 1).min(s.ecg_ring.end());
+        let mut y = Vec::new();
+        if hi <= lo + 2
+            || filtfilt_fir_into(
+                &s.ecg_fir,
+                s.ecg_ring.slice(lo, hi),
+                &mut ZeroPhaseScratch::new(),
+                &mut y,
+            )
+            .is_err()
+        {
+            return (r, Vec::new());
+        }
+        let s_lo = r.saturating_sub(s.search).max(lo);
+        let s_hi = (r + s.search + 1).min(hi);
+        let mut best = (r, f64::MIN);
+        for i in s_lo..s_hi {
+            if y[i - lo] > best.1 {
+                best = (i, y[i - lo]);
+            }
+        }
+        (best.0, y[s_lo - lo..s_hi - lo].to_vec())
+    }
+
+    #[test]
+    fn span_refinement_matches_full_window_oracle() {
+        let rec = recording(6);
+        let fs = 250.0;
+        let mut ecg = rec.device_ecg().to_vec();
+        let mut z = rec.device_z().to_vec();
+        // 3 s of contact loss at 10 s: the ladder goes Lost, and the
+        // warm restart on recovery re-arms online detection.
+        let (loss_lo, loss_hi) = ((10.0 * fs) as usize, (13.0 * fs) as usize);
+        for i in loss_lo..loss_hi {
+            ecg[i] = f64::NAN;
+            z[i] = f64::NAN;
+        }
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(fs)).unwrap();
+        let (hop, ctx) = (stream.hop, stream.ctx);
+        let mut refined_rs = Vec::new();
+        let mut checked = 0;
+        let mut saw_lost = false;
+        for (e, zc) in ecg.chunks(hop).zip(z.chunks(hop)) {
+            stream.push_qualified(e, zc).unwrap();
+            saw_lost |= stream.channel_states().0 == SignalState::Lost;
+            refined_rs.extend(stream.last_refined_r);
+            // Every apex position that became refinable in this hop —
+            // a superset of the raw Rs `finish_hop` refined — sees the
+            // same ring the hop refined against: the ring end is the
+            // hop head and pruning stops short of the ±0.4 s window.
+            let head = stream.processed;
+            for r in head.saturating_sub(hop + ctx)..head.saturating_sub(ctx) {
+                let (want, want_span) = refine_r_full_window(&stream, r);
+                assert_eq!(stream.refine_r(r), want, "apex {r}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&stream.refine_buf), bits(&want_span), "apex {r}");
+                checked += 1;
+            }
+        }
+        // Every position was checked once: from the first sample, where
+        // the window clamps to the ring base and, below 0.17 s, odd
+        // reflection enters the search span's cone (the online detector
+        // is still learning there, so only the superset reaches it),
+        // through the restart to the last refinable apex.
+        assert_eq!(checked, ecg.len() - ctx);
+        assert!(saw_lost, "the loss must trip the ladder");
+        assert!(
+            refined_rs.iter().any(|&r| r < loss_lo) && refined_rs.iter().any(|&r| r > loss_hi),
+            "Rs must be refined on both sides of the restart: {refined_rs:?}"
+        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! resulting effective magnitude response is the square of the underlying
 //! filter's and the phase is identically zero.
 
+use std::ops::Range;
+
 use crate::fir::Fir;
 use crate::iir::Butterworth;
 use crate::DspError;
@@ -99,6 +101,83 @@ pub fn filtfilt_fir_into(
     scratch.padded.reverse();
     y.clear();
     y.extend_from_slice(&scratch.padded[ext..ext + x.len()]);
+    Ok(())
+}
+
+/// Writes `filtfilt_fir_into(filter, x)[span]` into `y` (cleared first),
+/// **bitwise**, while filtering only the samples that span depends on.
+///
+/// Output sample `p` of the two FIR passes depends only on padded input
+/// `[p − order, p + order]`, so the forward pass runs over the padded
+/// indices `[ext + span.start, ext + span.end + order)` and the backward
+/// pass over the span alone. Reflected edge samples are computed on the
+/// fly with [`odd_reflect_into`]'s expressions, and both passes keep
+/// [`Fir::filter_into`]'s ascending-tap accumulation from `0.0`, so every
+/// output bit matches the full-length call. `work` holds the forward
+/// pass (`span.len() + order` samples at most).
+///
+/// # Errors
+///
+/// * [`DspError::InputTooShort`] when `x` has fewer than 2 samples (the
+///   same check as [`filtfilt_fir_into`]);
+/// * [`DspError::InvalidParameter`] when `span` is inverted or ends past
+///   `x.len()`.
+pub fn filtfilt_fir_span_into(
+    filter: &Fir,
+    x: &[f64],
+    span: Range<usize>,
+    work: &mut Vec<f64>,
+    y: &mut Vec<f64>,
+) -> Result<(), DspError> {
+    let order = filter.order();
+    let ext = checked_ext(x, order + 1)?;
+    let n = x.len();
+    if span.start > span.end || span.end > n {
+        return Err(DspError::InvalidParameter {
+            name: "span.end",
+            value: span.end as f64,
+            constraint: "span must satisfy start <= end <= x.len()",
+        });
+    }
+    let padded = |j: usize| {
+        if j < ext {
+            2.0 * x[0] - x[ext - j]
+        } else if j < ext + n {
+            x[j - ext]
+        } else {
+            2.0 * x[n - 1] - x[n - 1 - (j + 1 - ext - n)]
+        }
+    };
+    let taps = filter.taps();
+    let np = n + 2 * ext;
+    let (start, end) = (ext + span.start, ext + span.end);
+    // Forward pass over [start, end + order) of the padded signal.
+    work.clear();
+    for q in start..(end + order).min(np) {
+        let taps_q = &taps[..=q.min(order)];
+        let first = q + 1 - taps_q.len();
+        let acc = if first >= ext && q < ext + n {
+            let xs = x[first - ext..=q - ext].iter().rev();
+            taps_q.iter().zip(xs).fold(0.0, |acc, (t, v)| acc + t * v)
+        } else {
+            taps_q
+                .iter()
+                .enumerate()
+                .fold(0.0, |acc, (k, t)| acc + t * padded(q - k))
+        };
+        work.push(acc);
+    }
+    // Backward pass, already in forward time order: output p reads
+    // forward samples [p, p + min(np − 1 − p, order)].
+    y.clear();
+    y.extend((start..end).map(|p| {
+        let m = (np - 1 - p).min(order);
+        let fwd = &work[p - start..=p - start + m];
+        taps[..=m]
+            .iter()
+            .zip(fwd)
+            .fold(0.0, |acc, (t, v)| acc + t * v)
+    }));
     Ok(())
 }
 
@@ -222,9 +301,10 @@ pub fn odd_reflect(x: &[f64], ext: usize) -> Vec<f64> {
 }
 
 /// Buffer-reusing variant of [`odd_reflect`]: `out` is cleared and filled
-/// with the extended signal.
+/// with the extended signal. `ext` is clamped to `x.len() − 1` (a
+/// reflection cannot reach past the far end point).
 pub fn odd_reflect_into(x: &[f64], ext: usize, out: &mut Vec<f64>) {
-    debug_assert!(ext < x.len());
+    let ext = ext.min(x.len().saturating_sub(1));
     let n = x.len();
     out.clear();
     out.reserve(n + 2 * ext);
@@ -248,9 +328,10 @@ pub fn even_reflect(x: &[f64], ext: usize) -> Vec<f64> {
 }
 
 /// Buffer-reusing variant of [`even_reflect`]: `out` is cleared and filled
-/// with the extended signal.
+/// with the extended signal. `ext` is clamped to `x.len() − 1`, as in
+/// [`odd_reflect_into`].
 pub fn even_reflect_into(x: &[f64], ext: usize, out: &mut Vec<f64>) {
-    debug_assert!(ext < x.len());
+    let ext = ext.min(x.len().saturating_sub(1));
     let n = x.len();
     out.clear();
     out.reserve(n + 2 * ext);
@@ -288,6 +369,17 @@ mod tests {
     fn odd_reflect_zero_ext_is_identity() {
         let x = [1.0, 2.0];
         assert_eq!(odd_reflect(&x, 0), x.to_vec());
+    }
+
+    #[test]
+    fn reflect_clamps_oversized_ext() {
+        assert_eq!(odd_reflect(&[1.0], 5), vec![1.0]);
+        assert_eq!(even_reflect(&[1.0], 5), vec![1.0]);
+        assert_eq!(odd_reflect(&[], 3), Vec::<f64>::new());
+        assert_eq!(even_reflect(&[], 3), Vec::<f64>::new());
+        let x = [1.0, 2.0, 4.0];
+        assert_eq!(odd_reflect(&x, 9), odd_reflect(&x, 2));
+        assert_eq!(even_reflect(&x, 9), vec![4.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0]);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use cardiotouch_dsp::peaks;
 use cardiotouch_dsp::stats;
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{
-    filtfilt_fir, filtfilt_fir_into, filtfilt_iir, filtfilt_iir_ext, filtfilt_iir_ext_into,
-    filtfilt_iir_into, odd_reflect, ZeroPhaseScratch,
+    filtfilt_fir, filtfilt_fir_into, filtfilt_fir_span_into, filtfilt_iir, filtfilt_iir_ext,
+    filtfilt_iir_ext_into, filtfilt_iir_into, odd_reflect, ZeroPhaseScratch,
 };
 use proptest::prelude::*;
 
@@ -188,6 +188,67 @@ proptest! {
             for (a, b) in reference.iter().zip(&y) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn filtfilt_fir_span_bitwise_equals_full_window_slice(
+        x in signal(2, 600),
+        taps in prop::collection::vec(-1.0f64..1.0, 1..=64),
+        a in 0usize..=600,
+        b in 0usize..=600,
+    ) {
+        let f = Fir::from_taps(taps).unwrap();
+        let n = x.len();
+        let full = filtfilt_fir(&f, &x).unwrap();
+        let (a, b) = (a % (n + 1), b % (n + 1));
+        let order = f.order();
+        // A random span, the empty span, the full range, and spans whose
+        // dependency cone reaches either reflected edge.
+        let spans = [
+            a.min(b)..a.max(b),
+            a..a,
+            0..n,
+            0..a.max(1).min(n),
+            n - a.min(n - 1).min(order + 1)..n,
+            a.min(order)..(a.min(order) + 1).min(n),
+            n.saturating_sub(order + 1).max(a.min(n - 1))..n,
+        ];
+        // Dirty, wrongly sized buffers must not leak into the output.
+        let (mut work, mut y) = (vec![f64::NAN; 7], vec![f64::NAN; 3]);
+        for span in spans {
+            filtfilt_fir_span_into(&f, &x, span.clone(), &mut work, &mut y).unwrap();
+            prop_assert_eq!(y.len(), span.len());
+            for (i, (u, v)) in full[span.clone()].iter().zip(&y).enumerate() {
+                prop_assert!(
+                    u.to_bits() == v.to_bits(),
+                    "n={} order={} span={:?} i={}: {} vs {}", n, order, span, i, u, v
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn filtfilt_fir_span_rejects_bad_spans_without_panicking(
+        x in signal(0, 40),
+        taps in prop::collection::vec(-1.0f64..1.0, 1..=64),
+        a in 0usize..50,
+    ) {
+        let f = Fir::from_taps(taps).unwrap();
+        let n = x.len();
+        let (mut work, mut y) = (Vec::new(), Vec::new());
+        if n < 2 {
+            let full = filtfilt_fir_into(&f, &x, &mut ZeroPhaseScratch::new(), &mut y);
+            for span in [0..0, 0..n, a..a + 1] {
+                let got = filtfilt_fir_span_into(&f, &x, span, &mut work, &mut y);
+                prop_assert_eq!(got.clone().unwrap_err(), full.clone().unwrap_err());
+            }
+        } else {
+            let end = a % (n + 1);
+            let inverted = end + 1..end;
+            prop_assert!(filtfilt_fir_span_into(&f, &x, inverted, &mut work, &mut y).is_err());
+            prop_assert!(filtfilt_fir_span_into(&f, &x, end..n + 1 + a, &mut work, &mut y).is_err());
+            prop_assert!(filtfilt_fir_span_into(&f, &x, n + 1..n + 2, &mut work, &mut y).is_err());
         }
     }
 
