@@ -1701,6 +1701,31 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_inflated_zero_phase_tail() {
+        let rec = recording(1);
+        let config = PipelineConfig::paper_default(250.0);
+        let mut stream = BeatStream::new(config).unwrap();
+        stream
+            .push(&rec.device_ecg()[..2500], &rec.device_z()[..2500])
+            .unwrap();
+        let good = stream.snapshot();
+        let round_trip = BeatStreamSnapshot::from_bytes(&good.to_bytes()).unwrap();
+        assert!(BeatStream::restore(config, &round_trip).is_ok());
+
+        // A corrupt checkpoint whose HP tail is far longer than any real
+        // stage holds between calls: it decodes, but must not restore
+        // (every later block would run a backward pass over it).
+        let mut forged = good;
+        let tail = forged.hp.tail.len();
+        forged.hp.tail.resize(tail + 100_000, 0.0);
+        let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
+        assert!(matches!(
+            BeatStream::restore(config, &decoded),
+            Err(CoreError::Dsp(_))
+        ));
+    }
+
+    #[test]
     fn nan_and_saturated_samples_do_not_panic_or_emit_garbage() {
         let rec = recording(5);
         let mut ecg = rec.device_ecg().to_vec();

@@ -15,9 +15,12 @@
 //!   [`crate::diff::derivative`] with one sample of latency;
 //! * [`StreamingZeroPhase`] — an incremental emulation of
 //!   [`crate::zero_phase::filtfilt_iir`]: the forward pass streams with
-//!   persistent state, and the anti-causal backward pass is re-run over a
-//!   bounded unsettled tail, emitting samples once enough right-context
-//!   has accumulated for the backward transient to die out.
+//!   persistent state, and the anti-causal backward pass is re-run from
+//!   zero state over a bounded unsettled tail, emitting samples once
+//!   enough right-context has accumulated for the backward transient to
+//!   die out. Backward passes run register-resident, two blocks in
+//!   lock-step, in a per-thread workspace, so a stage's only state is its
+//!   forward registers, the sub-block input and the unsettled tail.
 //!
 //! All kernels share coefficient sets behind [`std::sync::Arc`] (obtained
 //! from [`crate::design_cache`]), so a thousand concurrent sessions hold
@@ -46,6 +49,7 @@
 
 pub mod lanes;
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::DspError;
@@ -151,21 +155,30 @@ impl StreamingCascade {
         v
     }
 
-    /// Filters a chunk in place; each output sample is identical to what
-    /// per-sample [`StreamingCascade::push`] calls would produce.
+    /// Filters a chunk in place; each output sample and the end state are
+    /// identical to what per-sample [`StreamingCascade::push`] calls would
+    /// produce. Runs section-major: each section's `(s1, s2)` is loaded
+    /// into locals once, carried in registers across the whole chunk and
+    /// stored back, so the recursion never round-trips through memory.
     pub fn process_in_place(&mut self, chunk: &mut [f64]) {
-        for v in chunk.iter_mut() {
-            *v = self.push(*v);
+        for (c, state) in self.filter.sections().iter().zip(self.state.iter_mut()) {
+            let (mut s1, mut s2) = *state;
+            for v in chunk.iter_mut() {
+                let x = *v;
+                let y = c.b0 * x + s1;
+                s1 = c.b1 * x - c.a1 * y + s2;
+                s2 = c.b2 * x - c.a2 * y;
+                *v = y;
+            }
+            *state = (s1, s2);
         }
     }
 
     /// Filters `chunk` into `out` (cleared first), reusing its capacity.
     pub fn process_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(chunk.len());
-        for &x in chunk {
-            out.push(self.push(x));
-        }
+        out.extend_from_slice(chunk);
+        self.process_in_place(out);
     }
 
     /// Resets every section's state to zero.
@@ -398,13 +411,13 @@ pub struct DerivativeState {
 /// The forward pass is strictly causal and streams with persistent state
 /// — cost `O(chunk)`. The backward pass is anti-causal: the batch
 /// [`crate::zero_phase::filtfilt_iir`] warms it with the entire future.
-/// Here the backward recursion is instead re-run over the unsettled tail
-/// once per internal `block`, primed with an even reflection at the
-/// rolling head (the same edge-extension device the batch path uses at
-/// the true record end). A sample is *settled* — emitted, never revisited
-/// — once `settle` newer samples exist, by which point the backward
-/// transient has decayed by `exp(−settle / τ)` for a filter time constant
-/// of `τ` samples.
+/// Here the backward recursion is instead re-run from zero state over the
+/// unsettled tail once per internal `block`, primed with an even
+/// reflection at the rolling head (the same edge-extension device the
+/// batch path uses at the true record end). A sample is *settled* —
+/// emitted, never revisited — once `settle` newer samples exist, by which
+/// point the backward transient has decayed by `exp(−settle / τ)` for a
+/// filter time constant of `τ` samples.
 ///
 /// Input is quantized into fixed `block`-sample units internally:
 /// arbitrary caller chunking is accumulated and processed in exact block
@@ -413,10 +426,19 @@ pub struct DerivativeState {
 /// invariant** by construction. Per-sample amortized cost is
 /// `O(1 + (settle + ext) / block)` — independent of stream length and of
 /// any analysis-window notion upstream.
+///
+/// Complete blocks are taken two at a time: both are forward-filtered,
+/// and once their forward outputs exist the two backward passes are
+/// independent, so they run in lock-step through
+/// [`Butterworth::filter_pair_in_place`]. Each block's backward window is
+/// exactly the one a block-by-block pass would see, so the output does
+/// not depend on the pairing. The reflected, reversed windows are built
+/// in one per-thread workspace rather than a per-stage buffer; the only
+/// per-stage memory is the forward registers, `pending` (`< block`
+/// between calls) and `tail` (`≤ settle` between calls).
 #[derive(Debug, Clone)]
 pub struct StreamingZeroPhase {
     forward: StreamingCascade,
-    backward: StreamingCascade,
     /// Raw input awaiting a complete block.
     pending: Vec<f64>,
     /// Forward-pass outputs not yet settled.
@@ -428,10 +450,50 @@ pub struct StreamingZeroPhase {
     ext: usize,
     /// Internal processing quantum in samples.
     block: usize,
-    /// Scratch for the reversed, edge-extended tail.
-    scratch: Vec<f64>,
     /// `true` once the stream-start forward priming has run.
     primed: bool,
+}
+
+thread_local! {
+    /// Per-thread backward-pass workspace: the reflected, reversed tail
+    /// windows of up to two blocks. Pure workspace, never part of a
+    /// stage's state; its size is bounded by `2 × (settle + block + ext)`
+    /// of the largest stage the thread runs, because `restore` rejects
+    /// tails longer than `settle`.
+    static BACKWARD_WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One block's backward pass over the tail: `tail[lo..hi]`, newest first,
+/// primed by the `ext` samples before the newest in stream order. The
+/// oldest `settled` samples of the result are emitted.
+#[derive(Debug, Clone, Copy)]
+struct BackwardWindow {
+    lo: usize,
+    hi: usize,
+    settled: usize,
+    ext: usize,
+}
+
+impl BackwardWindow {
+    /// Length of the reflected, reversed sequence.
+    fn len(&self) -> usize {
+        self.ext + self.hi - self.lo
+    }
+
+    /// Writes the reflected, reversed sequence into `dst` (`len()` long).
+    fn fill(&self, tail: &[f64], dst: &mut [f64]) {
+        let (prime, reversed) = dst.split_at_mut(self.ext);
+        prime.copy_from_slice(&tail[self.hi - 1 - self.ext..self.hi - 1]);
+        for (d, &v) in reversed.iter_mut().zip(tail[self.lo..self.hi].iter().rev()) {
+            *d = v;
+        }
+    }
+
+    /// Appends the settled samples of the backward-filtered sequence,
+    /// oldest first (they sit at its end).
+    fn emit(&self, filtered: &[f64], out: &mut Vec<f64>) {
+        out.extend(filtered.iter().rev().take(self.settled));
+    }
 }
 
 impl StreamingZeroPhase {
@@ -444,14 +506,12 @@ impl StreamingZeroPhase {
     #[must_use]
     pub fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize) -> Self {
         Self {
-            forward: StreamingCascade::new(Arc::clone(&filter)),
-            backward: StreamingCascade::new(filter),
+            forward: StreamingCascade::new(filter),
             pending: Vec::new(),
             tail: Vec::new(),
             settle: settle.max(1),
             ext,
             block: block.max(1),
-            scratch: Vec::new(),
             primed: false,
         }
     }
@@ -488,15 +548,14 @@ impl StreamingZeroPhase {
         self.primed
     }
 
-    /// Returns the stage to its start-of-stream state: both cascades are
-    /// zeroed, buffered input and unsettled tail are dropped, and the next
-    /// block re-runs the stream-start forward priming. Used for
-    /// warm-restarting a pipeline after signal loss — the discarded tail
-    /// was conditioned from pre-loss signal and must not leak across the
-    /// restart.
+    /// Returns the stage to its start-of-stream state: the forward
+    /// cascade is zeroed, buffered input and unsettled tail are dropped,
+    /// and the next block re-runs the stream-start forward priming. Used
+    /// for warm-restarting a pipeline after signal loss — the discarded
+    /// tail was conditioned from pre-loss signal and must not leak across
+    /// the restart.
     pub fn reset(&mut self) {
         self.forward.reset();
-        self.backward.reset();
         self.pending.clear();
         self.tail.clear();
         self.primed = false;
@@ -508,62 +567,92 @@ impl StreamingZeroPhase {
     /// `settle_samples() + block_samples() − 1`.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
         self.pending.extend_from_slice(chunk);
-        let mut consumed = 0;
-        while self.pending.len() - consumed >= self.block {
-            let (lo, hi) = (consumed, consumed + self.block);
-            self.process_block_range(lo, hi, out);
-            consumed = hi;
+        let blocks = self.pending.len() / self.block;
+        if blocks == 0 {
+            return;
         }
-        self.pending.drain(..consumed);
+        BACKWARD_WORK.with(|work| {
+            let work = &mut work.borrow_mut();
+            let mut done = 0;
+            while done < blocks {
+                let count = (blocks - done).min(2);
+                self.process_blocks(done * self.block, count, work, out);
+                done += count;
+            }
+        });
+        self.pending.drain(..blocks * self.block);
     }
 
-    /// Forward-filters `pending[lo..hi]` into the tail, then runs the
-    /// bounded backward pass and emits newly settled samples.
-    fn process_block_range(&mut self, lo: usize, hi: usize, out: &mut Vec<f64>) {
+    /// Forward-filters `count` (one or two) blocks starting at
+    /// `pending[lo]` into the tail, runs each block's backward pass —
+    /// both in lock-step when their windows have the same length — and
+    /// emits the newly settled samples oldest-first.
+    fn process_blocks(&mut self, lo: usize, count: usize, work: &mut Vec<f64>, out: &mut Vec<f64>) {
         if !self.primed {
             // Mimic the batch left edge: run the forward state over an
             // even reflection of the first block so the first real sample
             // is approached from plausible history rather than silence.
-            let ext = self.ext.min(hi - lo - 1);
+            let ext = self.ext.min(self.block - 1);
             for i in (lo + 1..=lo + ext).rev() {
                 let _ = self.forward.push(self.pending[i]);
             }
             self.primed = true;
         }
         let start = self.tail.len();
-        self.tail.extend_from_slice(&self.pending[lo..hi]);
-        for v in &mut self.tail[start..] {
-            *v = self.forward.push(*v);
+        self.tail
+            .extend_from_slice(&self.pending[lo..lo + count * self.block]);
+        self.forward.process_in_place(&mut self.tail[start..]);
+
+        // Each block's window is what a block-by-block pass sees: the
+        // tail up to the block's end, minus what earlier blocks settled.
+        let mut windows = [None; 2];
+        let mut drained = 0;
+        for (k, window) in windows.iter_mut().enumerate().take(count) {
+            let hi = start + (k + 1) * self.block;
+            let settled = (hi - drained).saturating_sub(self.settle);
+            if settled > 0 {
+                *window = Some(BackwardWindow {
+                    lo: drained,
+                    hi,
+                    settled,
+                    ext: self.ext.min(hi - drained - 1),
+                });
+                drained += settled;
+            }
         }
 
-        let settled = self.tail.len().saturating_sub(self.settle);
-        if settled == 0 {
-            return;
+        let filter = self.forward.filter();
+        let need = windows.iter().flatten().map(BackwardWindow::len).sum();
+        if work.len() < need {
+            work.resize(need, 0.0);
         }
-        // Backward pass over the whole tail, newest first, primed by an
-        // even reflection about the newest sample.
-        let ext = self.ext.min(self.tail.len().saturating_sub(1));
-        self.scratch.clear();
-        self.scratch.reserve(self.tail.len() + ext);
-        for i in (self.tail.len() - 1 - ext)..self.tail.len() - 1 {
-            self.scratch.push(self.tail[i]);
+        match windows {
+            [Some(a), Some(b)] if a.len() == b.len() => {
+                let (wa, wb) = work[..need].split_at_mut(a.len());
+                a.fill(&self.tail, wa);
+                b.fill(&self.tail, wb);
+                filter
+                    .filter_pair_in_place(wa, wb)
+                    .expect("the two halves of one split have equal length");
+                a.emit(wa, out);
+                b.emit(wb, out);
+            }
+            _ => {
+                for w in windows.iter().flatten() {
+                    let buf = &mut work[..w.len()];
+                    w.fill(&self.tail, buf);
+                    filter.filter_in_place(buf);
+                    w.emit(buf, out);
+                }
+            }
         }
-        self.scratch.extend(self.tail.iter().rev());
-        self.backward.reset();
-        self.backward.process_in_place(&mut self.scratch);
-        // The oldest `settled` samples sit at the end of the reversed
-        // scratch; emit them oldest-first and drop them from the tail.
-        let n = self.scratch.len();
-        for i in 0..settled {
-            out.push(self.scratch[n - 1 - i]);
-        }
-        self.tail.drain(..settled);
+        self.tail.drain(..drained);
     }
 
     /// Captures the mutable zero-phase state: forward-cascade registers,
     /// buffered input, unsettled tail and the priming flag. The backward
-    /// cascade is reset before every block and the scratch buffer is
-    /// pure workspace, so neither is part of the state.
+    /// pass restarts from zero state every block in a per-thread
+    /// workspace, so it carries no state of its own.
     #[must_use]
     pub fn snapshot(&self) -> ZeroPhaseState {
         ZeroPhaseState {
@@ -578,13 +667,40 @@ impl StreamingZeroPhase {
     /// been constructed with the same design and `settle`/`ext`/`block`
     /// parameters for the resumed stream to be bitwise identical.
     ///
+    /// A snapshot taken between two `push_chunk` calls always has
+    /// `pending` shorter than one block, a `tail` of at most `settle`
+    /// samples and no tail before priming; anything else is corrupt and
+    /// rejected, leaving the stage untouched. Without that bound a forged
+    /// tail would make every later block run an arbitrarily long
+    /// backward pass.
+    ///
     /// # Errors
     ///
     /// [`DspError::LengthMismatch`] when the forward-cascade section
-    /// count differs.
+    /// count differs, `pending` holds a whole block or `tail` exceeds the
+    /// settle delay; [`DspError::InvalidParameter`] when an unprimed
+    /// snapshot carries a tail.
     pub fn restore(&mut self, state: &ZeroPhaseState) -> Result<(), DspError> {
+        if state.pending.len() >= self.block {
+            return Err(DspError::LengthMismatch {
+                left: state.pending.len(),
+                right: self.block,
+            });
+        }
+        if state.tail.len() > self.settle {
+            return Err(DspError::LengthMismatch {
+                left: state.tail.len(),
+                right: self.settle,
+            });
+        }
+        if !state.primed && !state.tail.is_empty() {
+            return Err(DspError::InvalidParameter {
+                name: "primed",
+                value: 0.0,
+                constraint: "an unprimed zero-phase stage has no unsettled tail",
+            });
+        }
         self.forward.restore(&state.forward)?;
-        self.backward.reset();
         self.pending.clear();
         self.pending.extend_from_slice(&state.pending);
         self.tail.clear();
@@ -948,6 +1064,35 @@ mod tests {
         let snap = StreamingCascade::new(lp4).snapshot();
         let mut wrong = StreamingCascade::new(lp2);
         assert!(wrong.restore(&snap).is_err());
+    }
+
+    #[test]
+    fn zero_phase_restore_rejects_impossible_geometry() {
+        let lp = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
+        let (settle, block) = (125, 50);
+        let mut live = StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block);
+        let mut out = Vec::new();
+        live.push_chunk(&signal(437), &mut out);
+        let good = live.snapshot();
+        assert_eq!((good.pending.len(), good.tail.len()), (37, settle));
+
+        let mut z = StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block);
+        let mut whole_block = good.clone();
+        whole_block.pending.resize(block, 0.0);
+        let mut long_tail = good.clone();
+        long_tail.tail.push(0.0);
+        let mut unprimed_tail = good.clone();
+        unprimed_tail.primed = false;
+        for bad in [&whole_block, &long_tail, &unprimed_tail] {
+            assert!(z.restore(bad).is_err());
+            // A rejected snapshot leaves the stage untouched.
+            assert_eq!(
+                (z.pending_len(), z.tail_len(), z.is_primed()),
+                (0, 0, false)
+            );
+        }
+        z.restore(&good).unwrap();
+        assert_eq!(z.snapshot(), good);
     }
 
     #[test]

@@ -543,7 +543,11 @@ impl<const K: usize> LaneZeroPhase<K> {
         self.pending.drain(..consumed);
     }
 
-    /// Row-for-row twin of the scalar stage's `process_block_range`.
+    /// Row-for-row twin of one block of the scalar stage's
+    /// `push_chunk`: the same priming, forward pass and backward window.
+    /// The scalar stage runs two blocks' backward passes in lock-step;
+    /// here the lanes already run K windows at once, so blocks go one at
+    /// a time.
     fn process_block_range(&mut self, lo: usize, hi: usize, out: &mut Vec<[f64; K]>) {
         if !self.primed {
             let ext = self.ext.min(hi - lo - 1);

@@ -5,12 +5,14 @@ use cardiotouch_dsp::iir::Butterworth;
 use cardiotouch_dsp::morph::{self, FlatElement};
 use cardiotouch_dsp::peaks;
 use cardiotouch_dsp::stats;
+use cardiotouch_dsp::streaming::{StreamingCascade, StreamingZeroPhase, ZeroPhaseState};
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{
     filtfilt_fir, filtfilt_fir_into, filtfilt_fir_span_into, filtfilt_iir, filtfilt_iir_ext,
     filtfilt_iir_ext_into, filtfilt_iir_into, odd_reflect, ZeroPhaseScratch,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn signal(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, min_len..=max_len)
@@ -378,5 +380,273 @@ proptest! {
         let m = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default()).unwrap();
         prop_assert!((m.x[0] - cx).abs() < 1e-3, "{:?}", m.x);
         prop_assert!((m.x[1] - cy).abs() < 1e-3, "{:?}", m.x);
+    }
+}
+
+/// The block-by-block zero-phase stage as it stood before backward passes
+/// were paired: one backward pass per block, every recursion step through
+/// per-sample `StreamingCascade::push`, and a per-stage scratch buffer.
+/// It is the oracle `StreamingZeroPhase` must match bitwise.
+#[derive(Debug, Clone)]
+struct BlockByBlockZeroPhase {
+    forward: StreamingCascade,
+    backward: StreamingCascade,
+    pending: Vec<f64>,
+    tail: Vec<f64>,
+    settle: usize,
+    ext: usize,
+    block: usize,
+    scratch: Vec<f64>,
+    primed: bool,
+}
+
+impl BlockByBlockZeroPhase {
+    fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize) -> Self {
+        Self {
+            forward: StreamingCascade::new(Arc::clone(&filter)),
+            backward: StreamingCascade::new(filter),
+            pending: Vec::new(),
+            tail: Vec::new(),
+            settle: settle.max(1),
+            ext,
+            block: block.max(1),
+            scratch: Vec::new(),
+            primed: false,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.forward.reset();
+        self.backward.reset();
+        self.pending.clear();
+        self.tail.clear();
+        self.primed = false;
+    }
+
+    fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
+        self.pending.extend_from_slice(chunk);
+        let mut consumed = 0;
+        while self.pending.len() - consumed >= self.block {
+            let (lo, hi) = (consumed, consumed + self.block);
+            self.process_block_range(lo, hi, out);
+            consumed = hi;
+        }
+        self.pending.drain(..consumed);
+    }
+
+    fn process_block_range(&mut self, lo: usize, hi: usize, out: &mut Vec<f64>) {
+        if !self.primed {
+            let ext = self.ext.min(hi - lo - 1);
+            for i in (lo + 1..=lo + ext).rev() {
+                let _ = self.forward.push(self.pending[i]);
+            }
+            self.primed = true;
+        }
+        let start = self.tail.len();
+        self.tail.extend_from_slice(&self.pending[lo..hi]);
+        for v in &mut self.tail[start..] {
+            *v = self.forward.push(*v);
+        }
+        let settled = self.tail.len().saturating_sub(self.settle);
+        if settled == 0 {
+            return;
+        }
+        let ext = self.ext.min(self.tail.len().saturating_sub(1));
+        self.scratch.clear();
+        for i in (self.tail.len() - 1 - ext)..self.tail.len() - 1 {
+            self.scratch.push(self.tail[i]);
+        }
+        self.scratch.extend(self.tail.iter().rev());
+        self.backward.reset();
+        for v in &mut self.scratch {
+            *v = self.backward.push(*v);
+        }
+        let n = self.scratch.len();
+        for i in 0..settled {
+            out.push(self.scratch[n - 1 - i]);
+        }
+        self.tail.drain(..settled);
+    }
+
+    fn snapshot(&self) -> ZeroPhaseState {
+        ZeroPhaseState {
+            forward: self.forward.snapshot(),
+            pending: self.pending.clone(),
+            tail: self.tail.clone(),
+            primed: self.primed,
+        }
+    }
+
+    fn restore(&mut self, state: &ZeroPhaseState) {
+        self.forward.restore(&state.forward).unwrap();
+        self.backward.reset();
+        self.pending.clone_from(&state.pending);
+        self.tail.clone_from(&state.tail);
+        self.primed = state.primed;
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A zero-phase snapshot as raw bit patterns, so `-0.0`/`0.0` and NaN
+/// payloads compare exactly.
+#[derive(Debug, PartialEq)]
+struct StateBits {
+    forward: Vec<(u64, u64)>,
+    pending: Vec<u64>,
+    tail: Vec<u64>,
+    primed: bool,
+}
+
+fn section_bits(sections: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    sections
+        .iter()
+        .map(|(a, b)| (a.to_bits(), b.to_bits()))
+        .collect()
+}
+
+fn state_bits(s: &ZeroPhaseState) -> StateBits {
+    StateBits {
+        forward: section_bits(&s.forward.sections),
+        pending: bits(&s.pending),
+        tail: bits(&s.tail),
+        primed: s.primed,
+    }
+}
+
+/// A 20 Hz low-pass or 0.4 Hz high-pass of the given order — the two
+/// designs the streaming ICG chain runs, over every section count.
+fn icg_design(highpass: bool, order: usize) -> Arc<Butterworth> {
+    Arc::new(if highpass {
+        Butterworth::highpass(order, 0.4, 250.0).unwrap()
+    } else {
+        Butterworth::lowpass(order, 20.0, 250.0).unwrap()
+    })
+}
+
+// The oracle properties share the `oracle_` prefix so CI can run them
+// alone in release with a large `PROPTEST_CASES`.
+proptest! {
+    #[test]
+    fn oracle_paired_zero_phase_bitwise_equals_block_by_block(
+        x in signal(0, 3000),
+        highpass in 0u32..2,
+        order in 1usize..9,
+        settle in 1usize..700,
+        ext in 0usize..1500,
+        block in 1usize..300,
+        unit_block in 0u32..4,
+        chunks in prop::collection::vec(0usize..700, 1..=12),
+        events in prop::collection::vec(0u32..10, 1..=12),
+    ) {
+        // `block = 1` runs a backward pass per sample, so keep those
+        // streams short; `ext` still exceeds the tail in most cases.
+        let (x, settle, ext, block) = if unit_block == 0 {
+            (&x[..x.len().min(600)], settle % 200 + 1, ext % 400, 1)
+        } else {
+            (&x[..], settle, ext, block)
+        };
+        let f = icg_design(highpass == 1, order);
+        let fresh = || StreamingZeroPhase::new(Arc::clone(&f), settle, ext, block);
+        let mut oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block);
+        let mut stage = fresh();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut fed = 0;
+        for k in 0..=64 {
+            // Cycle the chunk sizes (0-length and multi-block chunks
+            // included); whatever is left goes in as one final chunk.
+            let c = if k == 64 { x.len() - fed } else { chunks[k % chunks.len()].min(x.len() - fed) };
+            oracle.push_chunk(&x[fed..fed + c], &mut want);
+            stage.push_chunk(&x[fed..fed + c], &mut got);
+            fed += c;
+            prop_assert!(
+                bits(&got) == bits(&want),
+                "k={} fed={} settle={} ext={} block={}: {} vs {} samples",
+                k, fed, settle, ext, block, got.len(), want.len()
+            );
+            match events[k % events.len()] {
+                0 => {
+                    oracle.reset();
+                    stage.reset();
+                }
+                1 => {
+                    // Migrate both sides through each other's snapshots.
+                    let (o, s) = (oracle.snapshot(), stage.snapshot());
+                    prop_assert_eq!(state_bits(&o), state_bits(&s));
+                    stage = fresh();
+                    stage.restore(&o).unwrap();
+                    oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block);
+                    oracle.restore(&s);
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(fed, x.len());
+        prop_assert_eq!(state_bits(&oracle.snapshot()), state_bits(&stage.snapshot()));
+    }
+
+    #[test]
+    fn oracle_filter_pair_bitwise_equals_two_filter_in_place(
+        x in signal(0, 4000),
+        highpass in 0u32..2,
+        order in 1usize..17,
+        skew in 1usize..40,
+    ) {
+        // Orders 1..=16 span 1..=8 sections; lengths span 0..=2000.
+        let f = icg_design(highpass == 1, order);
+        let n = x.len() / 2;
+        let (a0, b0) = (&x[..n], &x[n..2 * n]);
+        let (mut a, mut b) = (a0.to_vec(), b0.to_vec());
+        f.filter_pair_in_place(&mut a, &mut b).unwrap();
+        let (mut ra, mut rb) = (a0.to_vec(), b0.to_vec());
+        f.filter_in_place(&mut ra);
+        f.filter_in_place(&mut rb);
+        prop_assert!(bits(&a) == bits(&ra), "first buffer, n={} sections={}", n, f.sections().len());
+        prop_assert!(bits(&b) == bits(&rb), "second buffer, n={} sections={}", n, f.sections().len());
+
+        // Unequal lengths are an error, never a panic, and touch neither
+        // buffer.
+        let mut longer = b0.to_vec();
+        longer.extend(std::iter::repeat(1.0).take(skew));
+        let mut a = a0.to_vec();
+        prop_assert!(f.filter_pair_in_place(&mut a, &mut longer).is_err());
+        prop_assert!(f.filter_pair_in_place(&mut longer, &mut a).is_err());
+        prop_assert_eq!(bits(&a), bits(a0));
+        prop_assert_eq!(bits(&longer[..n]), bits(b0));
+    }
+
+    #[test]
+    fn oracle_section_major_cascade_bitwise_equals_per_sample_push(
+        x in signal(0, 1500),
+        highpass in 0u32..2,
+        order in 1usize..17,
+        chunks in prop::collection::vec(0usize..400, 1..=8),
+    ) {
+        let f = icg_design(highpass == 1, order);
+        let mut per_sample = StreamingCascade::new(Arc::clone(&f));
+        let mut section_major = StreamingCascade::new(Arc::clone(&f));
+        let mut out = Vec::new();
+        let mut fed = 0;
+        for k in 0..=32 {
+            let c = if k == 32 { x.len() - fed } else { chunks[k % chunks.len()].min(x.len() - fed) };
+            let chunk = &x[fed..fed + c];
+            fed += c;
+            let want: Vec<f64> = chunk.iter().map(|&v| per_sample.push(v)).collect();
+            // Alternate the in-place kernel and its allocating wrapper.
+            if k % 2 == 0 {
+                out.clear();
+                out.extend_from_slice(chunk);
+                section_major.process_in_place(&mut out);
+            } else {
+                section_major.process_chunk(chunk, &mut out);
+            }
+            prop_assert!(bits(&out) == bits(&want), "k={} len={}", k, c);
+            prop_assert_eq!(
+                section_bits(&per_sample.snapshot().sections),
+                section_bits(&section_major.snapshot().sections)
+            );
+        }
     }
 }
