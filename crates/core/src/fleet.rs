@@ -374,7 +374,6 @@ impl ShardHealth {
 fn shard_main(
     shard: usize,
     config: PipelineConfig,
-    lanes: bool,
     rx: &MailboxReceiver<ShardCmd>,
     events: &mpsc::Sender<ShardEvent>,
     health: &ShardHealth,
@@ -386,9 +385,6 @@ fn shard_main(
         // reports `FleetWorkerLost` on first contact.
         Err(_) => return,
     };
-    if lanes {
-        sched = sched.with_lane_grouping();
-    }
     // Frame-driven wire sessions live beside the scheduler slab: each
     // owns a plain BeatStream pushed with whatever sample runs the
     // control thread's front door reassembles, no template feed.
@@ -538,7 +534,6 @@ fn spawn_shard(
     shard: usize,
     epoch: u64,
     config: PipelineConfig,
-    lanes: bool,
     rx: MailboxReceiver<ShardCmd>,
     events: mpsc::Sender<ShardEvent>,
     health: Arc<ShardHealth>,
@@ -550,7 +545,7 @@ fn spawn_shard(
             // map are dropped wholesale, never observed again — there
             // is no broken invariant to leak.
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shard_main(shard, config, lanes, &rx, &events, &health);
+                shard_main(shard, config, &rx, &events, &health);
             }));
             if result.is_err() {
                 health.down.store(true, Ordering::SeqCst);
@@ -680,7 +675,6 @@ pub struct Fleet {
     stall_deadline: Duration,
     sync_token: u64,
     config: PipelineConfig,
-    lanes: bool,
     mailbox_capacity: usize,
     /// Control-thread view of per-shard occupancy (admissions minus
     /// migrations out plus migrations in). Used for least-loaded
@@ -734,34 +728,6 @@ impl Fleet {
         shards: usize,
         mailbox_capacity: usize,
     ) -> Result<Self, CoreError> {
-        Self::build(config, shards, mailbox_capacity, false)
-    }
-
-    /// Like [`Fleet::new`], but every shard runs its scheduler in
-    /// lane-grouped mode
-    /// ([`SessionScheduler::with_lane_grouping`]): same-key sessions
-    /// advance [`crate::scheduler::LANE_WIDTH`] at a time through
-    /// shared SoA kernels, with scalar fallback for the rest.
-    /// Emissions and migration bytes are bitwise identical to
-    /// [`Fleet::new`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`Fleet::new`].
-    pub fn new_lane_grouped(
-        config: PipelineConfig,
-        shards: usize,
-        mailbox_capacity: usize,
-    ) -> Result<Self, CoreError> {
-        Self::build(config, shards, mailbox_capacity, true)
-    }
-
-    fn build(
-        config: PipelineConfig,
-        shards: usize,
-        mailbox_capacity: usize,
-        lanes: bool,
-    ) -> Result<Self, CoreError> {
         if shards == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "shards",
@@ -784,7 +750,6 @@ impl Fleet {
                 shard,
                 0,
                 config,
-                lanes,
                 rx,
                 event_tx.clone(),
                 Arc::clone(&hp),
@@ -804,7 +769,6 @@ impl Fleet {
             stall_deadline: DEFAULT_STALL_DEADLINE,
             sync_token: 0,
             config,
-            lanes,
             mailbox_capacity,
             occupancy: vec![0; shards],
             enqueued: cardiotouch_obs::counter("core.fleet.enqueued"),
@@ -1261,7 +1225,7 @@ impl Fleet {
             .map_err(|e| CoreError::RecoveryFailed {
                 reason: format!("suffix replay: {e}"),
             })?;
-        let mut fleet = Self::build(config, shards, mailbox_capacity, false)?;
+        let mut fleet = Self::new(config, shards, mailbox_capacity)?;
         fleet.wire_door.install_segmented_log(log);
         fleet.ckpt_store = Some(store);
         for sc in &checkpoint.sessions {
@@ -1589,7 +1553,6 @@ impl Fleet {
             shard,
             self.epochs[shard],
             self.config,
-            self.lanes,
             rx,
             self.event_tx.clone(),
             Arc::clone(&hp),
@@ -1857,23 +1820,6 @@ mod tests {
         assert_eq!(reports[shard].sessions, 2);
         assert_eq!(reports[other].sessions, 2);
         fleet.shutdown();
-    }
-
-    #[test]
-    fn lane_grouped_fleet_matches_scalar_fleet() {
-        let config = PipelineConfig::paper_default(250.0);
-        let mut scalar = Fleet::new(config, 1, 32).unwrap();
-        let mut lane = Fleet::new_lane_grouped(config, 1, 32).unwrap();
-        for i in 0..8 {
-            scalar.admit(feed(i * 977)).unwrap();
-            lane.admit(feed(i * 977)).unwrap();
-        }
-        let a = scalar.run(6).unwrap();
-        let b = lane.run(6).unwrap();
-        assert_eq!(b.sessions(), 8);
-        assert_eq!(a.beats(), b.beats());
-        scalar.shutdown();
-        lane.shutdown();
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod experiment;
 pub mod fleet;
 pub mod fluid;
 pub mod io;
-pub mod lanes;
 pub mod pipeline;
 pub mod report;
 pub mod respiration;

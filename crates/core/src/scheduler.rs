@@ -16,7 +16,6 @@
 //! per-hop latency percentiles bound the beat-emission delay added by
 //! scheduling (on top of the engine's own settle latency).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,21 +24,14 @@ use cardiotouch_physio::faults::FaultScenario;
 use rayon::prelude::*;
 
 use crate::config::PipelineConfig;
-use crate::lanes::{LaneBeatGroup, LaneMember};
 use crate::pipeline::BeatReport;
 use crate::snapshot::BeatStreamSnapshot;
-use crate::stream::{BeatStream, LaneSyncKey, QualifiedBeat};
+use crate::stream::BeatStream;
 use crate::CoreError;
 
 /// Quarantine backoff cap, ticks: an erroring session retries after
 /// 1, 2, 4, … up to this many skipped ticks.
 const MAX_BACKOFF_TICKS: usize = 32;
-
-/// Lane width for grouped scheduling: sessions per SoA kernel group.
-/// Eight f64 lanes span two AVX2 registers (or one AVX-512), wide
-/// enough to keep the autovectorized kernels saturated without making
-/// same-key groups too rare to form.
-pub const LANE_WIDTH: usize = 8;
 
 /// One session's input: a pair of equal-length template channels played
 /// back from `offset`, wrapping around, so arbitrarily many sessions can
@@ -144,60 +136,6 @@ impl SessionSlot {
         self.beats += emitted.len();
         Ok(emitted)
     }
-
-    /// Feeds exactly `hop` samples like [`SessionSlot::step`] but stops
-    /// at ingestion: hop processing happens K-wide in the owning lane
-    /// group. Replay, fault application and the error surface are
-    /// copied verbatim from [`SessionSlot::step`], so quarantine
-    /// behaviour cannot differ between the scalar and lane modes.
-    fn ingest(&mut self, hop: usize) -> Result<(), CoreError> {
-        let n = self.feed.ecg.len();
-        let mut remaining = hop;
-        while remaining > 0 {
-            let at = (self.feed.offset + self.cursor) % n;
-            let take = remaining.min(n - at);
-            let (ecg, z) = (&self.feed.ecg[at..at + take], &self.feed.z[at..at + take]);
-            match self.feed.faults.as_deref().filter(|s| !s.is_empty()) {
-                Some(scenario) => {
-                    self.ecg_scratch.clear();
-                    self.ecg_scratch.extend_from_slice(ecg);
-                    self.z_scratch.clear();
-                    self.z_scratch.extend_from_slice(z);
-                    scenario
-                        .apply_chunk(self.cursor, &mut self.ecg_scratch, &mut self.z_scratch)
-                        .map_err(|hf| CoreError::SessionFault { at: hf.at })?;
-                    self.stream
-                        .ingest_qualified(&self.ecg_scratch, &self.z_scratch)?;
-                }
-                None => self.stream.ingest_qualified(ecg, z)?,
-            }
-            self.cursor += take;
-            remaining -= take;
-        }
-        Ok(())
-    }
-}
-
-/// A lane unit: up to [`LANE_WIDTH`] co-scheduled sessions advancing
-/// together through one shared SoA kernel group. Members keep the lane
-/// index [`LaneBeatGroup::adopt`] assigned them.
-#[derive(Debug)]
-struct LaneUnit {
-    group: LaneBeatGroup<LANE_WIDTH>,
-    members: Vec<(usize, SessionSlot)>,
-}
-
-/// What one lane unit produced during a tick, merged serially after
-/// the parallel fan-out.
-#[derive(Debug, Default)]
-struct UnitOutcome {
-    tallies: TickTallies,
-    /// Members leaving the unit this tick — evicted by a warm restart
-    /// or quarantined by a hard fault — already demuxed and accounted.
-    to_loose: Vec<SessionSlot>,
-    /// Wall-clock cost of the whole unit hop, nanoseconds.
-    ns: u64,
-    err: Option<CoreError>,
 }
 
 /// A session lifted out of one scheduler for admission into another —
@@ -274,13 +212,6 @@ impl ScheduleReport {
 #[derive(Debug)]
 pub struct SessionScheduler {
     slots: Vec<SessionSlot>,
-    /// Lane units, present only in lane-grouped mode. Sessions move
-    /// between `slots` (scalar fallback) and units as their sync keys
-    /// allow; emissions stay bitwise identical either way.
-    lane_units: Vec<LaneUnit>,
-    /// `true` once [`SessionScheduler::with_lane_grouping`] was called:
-    /// ticks form lane units from same-key sessions before advancing.
-    lanes: bool,
     config: PipelineConfig,
     hop: usize,
     fs: f64,
@@ -301,9 +232,6 @@ pub struct SessionScheduler {
     /// `core.scheduler.quarantined` — sessions sitting out, republished
     /// after every tick so fleet rebalancing sees live occupancy.
     quarantined_gauge: cardiotouch_obs::Gauge,
-    /// `dsp.lanes.scalar_fallbacks` — sessions stepped scalar during a
-    /// lane-mode tick (ragged remainders, desynced or retrying slots).
-    scalar_fallbacks: cardiotouch_obs::Counter,
     /// First-tick hop latencies land here instead of `…hop_us`: the
     /// first hop pays thread-startup, page-fault and filter-priming
     /// warmup (observed 10–16 ms p999 against a 226 µs steady state on
@@ -321,15 +249,6 @@ struct TickTallies {
     errors: u64,
     retries: u64,
     recoveries: u64,
-}
-
-impl TickTallies {
-    fn merge(&mut self, other: &TickTallies) {
-        self.beats += other.beats;
-        self.errors += other.errors;
-        self.retries += other.retries;
-        self.recoveries += other.recoveries;
-    }
 }
 
 impl SessionScheduler {
@@ -372,8 +291,6 @@ impl SessionScheduler {
         cardiotouch_obs::gauge("core.scheduler.sessions_active").set(slots.len() as i64);
         Ok(Self {
             slots,
-            lane_units: Vec::new(),
-            lanes: false,
             config,
             hop,
             fs,
@@ -386,22 +303,8 @@ impl SessionScheduler {
             retries_counter: cardiotouch_obs::counter("core.scheduler.session_retries"),
             recoveries_counter: cardiotouch_obs::counter("core.scheduler.session_recoveries"),
             quarantined_gauge: cardiotouch_obs::gauge("core.scheduler.quarantined"),
-            scalar_fallbacks: cardiotouch_obs::counter("dsp.lanes.scalar_fallbacks"),
             first_hop_us: cardiotouch_obs::histogram("core.scheduler.first_hop_us"),
         })
-    }
-
-    /// Enables lane-grouped scheduling (builder style): every tick,
-    /// sessions sharing a [`LaneSyncKey`] are batched [`LANE_WIDTH`] at
-    /// a time into shared SoA kernel groups and hopped K-per-instruction;
-    /// everyone else (ragged remainders, quarantined or desynced slots)
-    /// falls back to the scalar per-session path. Emissions, errors and
-    /// snapshots are bitwise identical to the scalar mode — grouping is
-    /// purely an execution strategy.
-    #[must_use]
-    pub fn with_lane_grouping(mut self) -> Self {
-        self.lanes = true;
-        self
     }
 
     /// Redirects this scheduler's live metrics under `prefix` (builder
@@ -418,24 +321,10 @@ impl SessionScheduler {
         self
     }
 
-    /// Number of scheduled sessions (loose and lane-grouped).
+    /// Number of scheduled sessions.
     #[must_use]
     pub fn sessions(&self) -> usize {
         self.slots.len()
-            + self
-                .lane_units
-                .iter()
-                .map(|u| u.members.len())
-                .sum::<usize>()
-    }
-
-    /// Every slot, loose first, then lane-unit members.
-    fn all_slots(&self) -> impl Iterator<Item = &SessionSlot> {
-        self.slots.iter().chain(
-            self.lane_units
-                .iter()
-                .flat_map(|u| u.members.iter().map(|(_, s)| s)),
-        )
     }
 
     /// Admits a fresh session mid-run (the fleet ingest path). The new
@@ -477,26 +366,9 @@ impl SessionScheduler {
     /// Returns `None` when every remaining slot is quarantined or the
     /// slab is empty.
     pub fn extract_migratable(&mut self) -> Option<MigratedSession> {
-        if let Some(idx) = self.slots.iter().rposition(|s| s.quarantine.is_none()) {
-            let slot = self.slots.swap_remove(idx);
-            return Some(Self::into_migrated(slot));
-        }
-        // Every loose slot is quarantined (or there are none): demux a
-        // lane member — grouped sessions are always healthy, and the
-        // demuxed snapshot is byte-identical to a never-grouped one.
-        let unit = self
-            .lane_units
-            .iter_mut()
-            .rfind(|u| !u.members.is_empty())?;
-        let (lane, mut slot) = unit.members.pop()?;
-        unit.group
-            .release(lane, &mut slot.stream)
-            .expect("demux of a same-config lane member cannot fail");
-        Some(Self::into_migrated(slot))
-    }
-
-    fn into_migrated(slot: SessionSlot) -> MigratedSession {
-        MigratedSession {
+        let idx = self.slots.iter().rposition(|s| s.quarantine.is_none())?;
+        let slot = self.slots.swap_remove(idx);
+        Some(MigratedSession {
             snapshot: slot.stream.snapshot(),
             feed: slot.feed,
             cursor: slot.cursor,
@@ -504,7 +376,7 @@ impl SessionScheduler {
             errors: slot.errors,
             retries: slot.retries,
             recoveries: slot.recoveries,
-        }
+        })
     }
 
     /// Admits a migrated session, rebuilding its engine from the
@@ -548,33 +420,14 @@ impl SessionScheduler {
     ///
     /// # Errors
     ///
-    /// Never fails in practice: feeds are validated at construction and
-    /// engine errors are absorbed into quarantine. The `Result` is kept
-    /// for API stability.
+    /// None: feeds are validated at construction and engine errors are
+    /// absorbed into quarantine, so this always returns `Ok`. The
+    /// `Result` is kept for API stability.
     pub fn tick(&mut self) -> Result<(), CoreError> {
         let hop = self.hop;
         let config = self.config;
         let hop_us = self.tick_hop_us();
         let mut tallies = TickTallies::default();
-        let mut departed = Vec::new();
-        if self.lanes {
-            self.form_lane_units()?;
-            self.count_scalar_fallbacks();
-            let units = std::mem::take(&mut self.lane_units);
-            let results: Vec<(LaneUnit, UnitOutcome)> = units
-                .into_par_iter()
-                .map(|mut unit| {
-                    let outcome = Self::advance_unit(&mut unit, hop);
-                    (unit, outcome)
-                })
-                .collect();
-            let mut outcomes = Vec::with_capacity(results.len());
-            for (unit, outcome) in results {
-                self.lane_units.push(unit);
-                outcomes.push(outcome);
-            }
-            self.settle_units(outcomes, &hop_us, &mut tallies, &mut departed)?;
-        }
         let slots = std::mem::take(&mut self.slots);
         let results: Vec<(SessionSlot, Result<usize, CoreError>, u64)> = slots
             .into_par_iter()
@@ -594,9 +447,6 @@ impl SessionScheduler {
             );
             self.slots.push(slot);
         }
-        // Unit departures rejoin the loose pool only now — they already
-        // consumed this tick's hop inside their unit.
-        self.slots.append(&mut departed);
         self.finish_tick(&tallies);
         Ok(())
     }
@@ -610,30 +460,16 @@ impl SessionScheduler {
     ///
     /// # Errors
     ///
-    /// Never fails in practice (see [`SessionScheduler::tick`]).
+    /// None; always returns `Ok` (see [`SessionScheduler::tick`]).
     pub fn tick_inline(&mut self) -> Result<(), CoreError> {
         let hop = self.hop;
         let config = self.config;
         let hop_us = self.tick_hop_us();
         let mut tallies = TickTallies::default();
-        let mut departed = Vec::new();
-        if self.lanes {
-            self.form_lane_units()?;
-            self.count_scalar_fallbacks();
-            let outcomes: Vec<UnitOutcome> = self
-                .lane_units
-                .iter_mut()
-                .map(|unit| Self::advance_unit(unit, hop))
-                .collect();
-            self.settle_units(outcomes, &hop_us, &mut tallies, &mut departed)?;
-        }
         for slot in &mut self.slots {
             let (outcome, ns) = Self::advance(slot, hop, &config);
             Self::settle(slot, outcome, ns, &mut self.hop_hist, &hop_us, &mut tallies);
         }
-        // Unit departures rejoin the loose pool only now — they already
-        // consumed this tick's hop inside their unit.
-        self.slots.append(&mut departed);
         self.finish_tick(&tallies);
         Ok(())
     }
@@ -647,175 +483,6 @@ impl SessionScheduler {
         } else {
             self.hop_us.clone()
         }
-    }
-
-    /// Groups loose, healthy, same-key sessions into fresh lane units,
-    /// [`LANE_WIDTH`] at a time, and drops units emptied by evictions.
-    /// Remainders stay loose (the scalar fallback).
-    fn form_lane_units(&mut self) -> Result<(), CoreError> {
-        self.lane_units.retain(|u| !u.members.is_empty());
-        let mut buckets: BTreeMap<LaneSyncKey, Vec<usize>> = BTreeMap::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.quarantine.is_none() && !slot.stream.restart_pending() {
-                buckets
-                    .entry(slot.stream.lane_sync_key())
-                    .or_default()
-                    .push(i);
-            }
-        }
-        let mut grouped: Vec<Vec<usize>> = Vec::new();
-        for idxs in buckets.into_values() {
-            for chunk in idxs.chunks_exact(LANE_WIDTH) {
-                grouped.push(chunk.to_vec());
-            }
-        }
-        if grouped.is_empty() {
-            return Ok(());
-        }
-        let slots = std::mem::take(&mut self.slots);
-        let mut assignment = vec![usize::MAX; slots.len()];
-        for (u, idxs) in grouped.iter().enumerate() {
-            for &i in idxs {
-                assignment[i] = u;
-            }
-        }
-        let mut new_members: Vec<Vec<SessionSlot>> =
-            (0..grouped.len()).map(|_| Vec::new()).collect();
-        for (i, slot) in slots.into_iter().enumerate() {
-            if assignment[i] == usize::MAX {
-                self.slots.push(slot);
-            } else {
-                new_members[assignment[i]].push(slot);
-            }
-        }
-        for members in new_members {
-            let mut group = LaneBeatGroup::new(self.config)?;
-            let mut unit_members = Vec::with_capacity(members.len());
-            for slot in members {
-                let lane = group.adopt(&slot.stream)?;
-                unit_members.push((lane, slot));
-            }
-            self.lane_units.push(LaneUnit {
-                group,
-                members: unit_members,
-            });
-        }
-        Ok(())
-    }
-
-    /// Counts loose sessions about to step scalar under lane mode into
-    /// `dsp.lanes.scalar_fallbacks` (quarantined slots still inside
-    /// their backoff window are sitting out, not falling back).
-    fn count_scalar_fallbacks(&self) {
-        let due = self
-            .slots
-            .iter()
-            .filter(|s| s.quarantine.map_or(true, |q| q.skip == 0))
-            .count();
-        if due > 0 {
-            self.scalar_fallbacks.add(due as u64);
-        }
-    }
-
-    /// One lane unit's share of a tick: scalar per-member ingest (with
-    /// fault application), then the shared K-wide hop. Members that
-    /// hard-fault are demuxed and quarantined; members evicted by a
-    /// warm restart drain their skipped hops through the scalar path,
-    /// so both exits stay bitwise identical to scalar mode.
-    fn advance_unit(unit: &mut LaneUnit, hop: usize) -> UnitOutcome {
-        let mut out = UnitOutcome::default();
-        let start = Instant::now();
-        let LaneUnit { group, members } = unit;
-        let mut i = 0;
-        while i < members.len() {
-            match members[i].1.ingest(hop) {
-                Ok(()) => i += 1,
-                Err(_) => {
-                    let (lane, mut slot) = members.remove(i);
-                    // Same-config demux cannot fail, and the slot gets
-                    // a fresh engine on retry regardless.
-                    let _ = group.release(lane, &mut slot.stream);
-                    Self::fail(&mut slot, &mut out.tallies);
-                    out.to_loose.push(slot);
-                }
-            }
-        }
-        let mut sinks: Vec<Vec<QualifiedBeat>> = members.iter().map(|_| Vec::new()).collect();
-        let mut lane_members: Vec<LaneMember<'_>> = members
-            .iter_mut()
-            .zip(sinks.iter_mut())
-            .map(|((lane, slot), sink)| LaneMember::new(*lane, &mut slot.stream, sink))
-            .collect();
-        let result = group.process_ready_hops(&mut lane_members);
-        let evicted: Vec<bool> = lane_members.iter().map(|m| m.evicted).collect();
-        drop(lane_members);
-        if let Err(e) = result {
-            out.err = Some(e);
-            out.ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            return out;
-        }
-        for i in (0..members.len()).rev() {
-            let emitted = sinks[i].len();
-            members[i].1.beats += emitted;
-            out.tallies.beats += emitted as u64;
-            if evicted[i] {
-                let (_, mut slot) = members.remove(i);
-                // Drain the hops the group skipped, scalar — bitwise
-                // what a never-grouped stream would have done.
-                match slot.stream.push_qualified(&[], &[]) {
-                    Ok(beats) => {
-                        slot.beats += beats.len();
-                        out.tallies.beats += beats.len() as u64;
-                    }
-                    Err(_) => Self::fail(&mut slot, &mut out.tallies),
-                }
-                out.to_loose.push(slot);
-            }
-        }
-        out.ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        out
-    }
-
-    /// Merges unit outcomes back into the scheduler: tallies, one
-    /// latency sample per unit hop, and the departing members — which
-    /// go into `departed`, NOT straight into the loose pool: they
-    /// already consumed this tick's hop inside their unit, so the
-    /// scalar loop that follows must not step them again.
-    fn settle_units(
-        &mut self,
-        outcomes: Vec<UnitOutcome>,
-        hop_us: &cardiotouch_obs::Histogram,
-        tallies: &mut TickTallies,
-        departed: &mut Vec<SessionSlot>,
-    ) -> Result<(), CoreError> {
-        let mut first_err = None;
-        for outcome in outcomes {
-            tallies.merge(&outcome.tallies);
-            departed.extend(outcome.to_loose);
-            if outcome.ns > 0 {
-                self.hop_hist.record(outcome.ns);
-                hop_us.record((outcome.ns / 1_000).max(1));
-            }
-            if let Some(e) = outcome.err {
-                first_err.get_or_insert(e);
-            }
-        }
-        self.lane_units.retain(|u| !u.members.is_empty());
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Error accounting for a slot whose engine failed: quarantine with
-    /// exponential backoff. Shared by the scalar settle path and the
-    /// lane-unit paths.
-    fn fail(slot: &mut SessionSlot, tallies: &mut TickTallies) {
-        slot.retrying = false;
-        slot.errors += 1;
-        tallies.errors += 1;
-        slot.quarantine = Some(Quarantine { skip: slot.backoff });
-        slot.backoff = (slot.backoff * 2).min(MAX_BACKOFF_TICKS);
     }
 
     /// One slot's share of a tick: quarantine bookkeeping, then a timed
@@ -879,7 +546,14 @@ impl SessionScheduler {
                     hop_us.record((ns / 1_000).max(1));
                 }
             }
-            Err(_) => Self::fail(slot, tallies),
+            Err(_) => {
+                // Quarantine with exponential backoff.
+                slot.retrying = false;
+                slot.errors += 1;
+                tallies.errors += 1;
+                slot.quarantine = Some(Quarantine { skip: slot.backoff });
+                slot.backoff = (slot.backoff * 2).min(MAX_BACKOFF_TICKS);
+            }
         }
     }
 
@@ -906,7 +580,7 @@ impl SessionScheduler {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors from [`SessionScheduler::tick`].
+    /// None; always returns `Ok` (see [`SessionScheduler::tick`]).
     pub fn run(&mut self, ticks: usize) -> Result<ScheduleReport, CoreError> {
         let start = Instant::now();
         for _ in 0..ticks {
@@ -933,19 +607,21 @@ impl SessionScheduler {
             ticks: self.ticks,
             session_seconds: self.sessions() as f64 * self.ticks as f64 * self.hop as f64 / self.fs,
             elapsed_s,
-            beats: self.all_slots().map(|s| s.beats).sum(),
+            beats: self.slots.iter().map(|s| s.beats).sum(),
             hop_p50_us: pct(0.50),
             hop_p99_us: pct(0.99),
-            session_errors: self.all_slots().map(|s| s.errors).sum(),
-            session_retries: self.all_slots().map(|s| s.retries).sum(),
-            session_recoveries: self.all_slots().map(|s| s.recoveries).sum(),
-            sessions_quarantined: self.all_slots().filter(|s| s.quarantine.is_some()).count(),
+            session_errors: self.slots.iter().map(|s| s.errors).sum(),
+            session_retries: self.slots.iter().map(|s| s.retries).sum(),
+            session_recoveries: self.slots.iter().map(|s| s.recoveries).sum(),
+            sessions_quarantined: self.slots.iter().filter(|s| s.quarantine.is_some()).count(),
             sessions_backing_off: self
-                .all_slots()
+                .slots
+                .iter()
                 .filter(|s| s.quarantine.is_some_and(|q| q.skip > 0))
                 .count(),
             sessions_retry_due: self
-                .all_slots()
+                .slots
+                .iter()
                 .filter(|s| s.quarantine.is_some_and(|q| q.skip == 0))
                 .count(),
         }
@@ -1140,100 +816,6 @@ mod tests {
         assert_eq!(sched.sessions(), 2);
         sched.run(2).unwrap();
         assert!(sched.slots[1].cursor == 2 * 250);
-    }
-
-    #[test]
-    fn lane_grouped_scheduler_matches_scalar_bitwise() {
-        use cardiotouch_physio::faults::FaultScenario;
-        let cfg = PipelineConfig::paper_default(250.0);
-        // 10 sessions: one full 8-lane group plus 2 scalar fallbacks,
-        // with a soft-faulted session (warm-restart eviction) and a
-        // hard-faulted one (quarantine + fresh-engine retry) mixed in.
-        let mut all = feeds(10);
-        all[3] = all[3]
-            .clone()
-            .with_faults(Arc::new(FaultScenario::parse("drop@4s+3s", 250.0).unwrap()));
-        all[7] = all[7]
-            .clone()
-            .with_faults(Arc::new(FaultScenario::parse("fail@5s+1s", 250.0).unwrap()));
-        let mut scalar = SessionScheduler::new(cfg, all.clone()).unwrap();
-        let mut lane = SessionScheduler::new(cfg, all)
-            .unwrap()
-            .with_lane_grouping();
-        for _ in 0..20 {
-            scalar.tick_inline().unwrap();
-            lane.tick_inline().unwrap();
-        }
-        assert!(!lane.lane_units.is_empty(), "no lane group ever formed");
-        let gather = |s: &SessionScheduler| -> std::collections::BTreeMap<usize, _> {
-            s.all_slots()
-                .map(|slot| {
-                    (
-                        slot.feed.offset,
-                        (slot.cursor, slot.beats, slot.errors, slot.recoveries),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(gather(&scalar), gather(&lane));
-        let (rs, rl) = (scalar.report(1.0), lane.report(1.0));
-        assert_eq!(rs.beats, rl.beats);
-        assert_eq!(rs.session_errors, rl.session_errors);
-        assert_eq!(rl.sessions, 10);
-    }
-
-    #[test]
-    fn lane_parallel_tick_matches_inline() {
-        let cfg = PipelineConfig::paper_default(250.0);
-        let mut par = SessionScheduler::new(cfg, feeds(9))
-            .unwrap()
-            .with_lane_grouping();
-        let mut seq = SessionScheduler::new(cfg, feeds(9))
-            .unwrap()
-            .with_lane_grouping();
-        for _ in 0..10 {
-            par.tick().unwrap();
-            seq.tick_inline().unwrap();
-        }
-        let (rp, rs) = (par.report(1.0), seq.report(1.0));
-        assert_eq!(rp.beats, rs.beats);
-        assert_eq!(rp.sessions, 9);
-    }
-
-    #[test]
-    fn lane_member_migrates_bitwise_through_snapshot_codec() {
-        let cfg = PipelineConfig::paper_default(250.0);
-        let mut reference = SessionScheduler::new(cfg, feeds(1)).unwrap();
-        for _ in 0..20 {
-            reference.tick_inline().unwrap();
-        }
-
-        let mut lane = SessionScheduler::new(cfg, feeds(8))
-            .unwrap()
-            .with_lane_grouping();
-        for _ in 0..8 {
-            lane.tick_inline().unwrap();
-        }
-        assert_eq!(lane.lane_units.len(), 1);
-        assert!(lane.slots.is_empty(), "all 8 sessions must be grouped");
-        // Extraction must demux lane members: no loose candidates exist.
-        let mut extracted = Vec::new();
-        while let Some(m) = lane.extract_migratable() {
-            extracted.push(m);
-        }
-        assert_eq!(extracted.len(), 8);
-        let m = extracted.iter().find(|m| m.feed.offset == 0).unwrap();
-        assert_eq!(m.cursor, 8 * 250);
-        // Round-trip through the wire bytes, like the fleet path.
-        let mut m = m.clone();
-        m.snapshot = BeatStreamSnapshot::from_bytes(&m.snapshot.to_bytes()).unwrap();
-        let mut b = SessionScheduler::new(cfg, Vec::new()).unwrap();
-        b.admit_migrated(&m).unwrap();
-        for _ in 0..12 {
-            b.tick_inline().unwrap();
-        }
-        assert_eq!(b.slots[0].beats, reference.slots[0].beats);
-        assert_eq!(b.slots[0].cursor, reference.slots[0].cursor);
     }
 
     #[test]

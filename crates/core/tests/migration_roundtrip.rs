@@ -19,10 +19,6 @@ use std::sync::{Arc, OnceLock};
 use cardiotouch::config::{DelineationStrategy, PipelineConfig};
 use cardiotouch::snapshot::BeatStreamSnapshot;
 use cardiotouch::stream::{BeatStream, QualifiedBeat};
-use cardiotouch_dsp::fir::Fir;
-use cardiotouch_dsp::iir::Biquad;
-use cardiotouch_dsp::streaming::lanes::{LaneBiquad, LaneFir};
-use cardiotouch_dsp::streaming::{StatefulBiquad, StreamingFir};
 use cardiotouch_physio::faults::FaultScenario;
 use cardiotouch_physio::path::Position;
 use cardiotouch_physio::scenario::{PairedRecording, Protocol};
@@ -152,119 +148,5 @@ proptest! {
         // Strongest check: the full engine state after resumption is
         // byte-for-byte the state of the stream that never migrated.
         prop_assert_eq!(resumed.snapshot().to_bytes(), reference.snapshot().to_bytes());
-    }
-}
-
-/// Lane width used by the kernel-level migration properties below —
-/// deliberately narrower than the scheduler's width so lane-index
-/// arithmetic is exercised with non-trivial neighbours but the property
-/// stays fast.
-const K: usize = 4;
-
-/// Raw-bits equality for f64 sequences: the lane demux guarantee is
-/// byte identity, which `==` would weaken (-0.0 vs 0.0, NaN).
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// A scalar FIR muxed into a [`LaneFir`] lane mid-stream (with live
-    /// neighbours in every other lane) and demuxed back out later is
-    /// byte-identical — outputs and final delay-line state — to a FIR
-    /// that was never laned.
-    #[test]
-    fn lane_fir_mux_demux_is_bitwise_invisible(
-        taps in prop::collection::vec(-1.0f64..1.0, 3..=33),
-        signal in prop::collection::vec(-10.0f64..10.0, 64..=256),
-        noise_seed in any::<u64>(),
-        lane in 0usize..K,
-        join_frac in 0.0f64..1.0,
-        leave_frac in 0.0f64..1.0,
-    ) {
-        let n = signal.len();
-        let join = (join_frac * n as f64) as usize;
-        let leave = join + ((leave_frac * (n - join) as f64) as usize);
-        let fir = Arc::new(Fir::from_taps(taps).unwrap());
-
-        // Reference: never laned.
-        let mut reference = StreamingFir::new(fir.clone());
-        let expected: Vec<f64> = signal.iter().map(|&x| reference.push(x)).collect();
-
-        // Subject: scalar to `join`, laned to `leave`, scalar to the end.
-        let mut scalar = StreamingFir::new(fir.clone());
-        let mut got: Vec<f64> = signal[..join].iter().map(|&x| scalar.push(x)).collect();
-        let mut group = LaneFir::<K>::new(fir.clone());
-        // Warm the neighbour lanes with an unrelated signal first so the
-        // shared ring position is mid-rotation when our lane joins.
-        let mut rng_state = noise_seed;
-        let mut noise = move || {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as f64) / (1u64 << 31) as f64 - 1.0
-        };
-        let mut out = [0.0; K];
-        for _ in 0..(noise_seed % 17) {
-            let col = [(); K].map(|()| noise());
-            group.push(&col, &mut out);
-        }
-        group.load_lane(lane, &scalar.snapshot()).unwrap();
-        for &x in &signal[join..leave] {
-            let mut col = [(); K].map(|()| noise());
-            col[lane] = x;
-            group.push(&col, &mut out);
-            got.push(out[lane]);
-        }
-        let mut resumed = StreamingFir::new(fir);
-        resumed.restore(&group.store_lane(lane)).unwrap();
-        got.extend(signal[leave..].iter().map(|&x| resumed.push(x)));
-
-        prop_assert!(bits_eq(&got, &expected));
-        let (rs, es) = (resumed.snapshot(), reference.snapshot());
-        prop_assert_eq!(rs.pos, es.pos);
-        prop_assert!(bits_eq(&rs.ring, &es.ring));
-    }
-
-    /// Same property for [`LaneBiquad`]: mux → advance → demux leaves no
-    /// trace in either the output samples or the two delay registers.
-    #[test]
-    fn lane_biquad_mux_demux_is_bitwise_invisible(
-        b0 in -2.0f64..2.0,
-        b1 in -2.0f64..2.0,
-        b2 in -2.0f64..2.0,
-        a1 in -0.9f64..0.9,
-        a2 in -0.9f64..0.9,
-        signal in prop::collection::vec(-10.0f64..10.0, 64..=256),
-        lane in 0usize..K,
-        join_frac in 0.0f64..1.0,
-        leave_frac in 0.0f64..1.0,
-    ) {
-        let n = signal.len();
-        let join = (join_frac * n as f64) as usize;
-        let leave = join + ((leave_frac * (n - join) as f64) as usize);
-        let coeffs = Biquad { b0, b1, b2, a1, a2 };
-
-        let mut reference = StatefulBiquad::new(coeffs);
-        let expected: Vec<f64> = signal.iter().map(|&x| reference.push(x)).collect();
-
-        let mut scalar = StatefulBiquad::new(coeffs);
-        let mut got: Vec<f64> = signal[..join].iter().map(|&x| scalar.push(x)).collect();
-        let mut group = LaneBiquad::<K>::new(coeffs);
-        group.load_lane(lane, &scalar.snapshot());
-        for (i, &x) in signal[join..leave].iter().enumerate() {
-            // Neighbour lanes carry a varying signal to prove isolation.
-            let mut col = [(); K].map(|()| (i as f64).sin());
-            col[lane] = x;
-            group.push(&mut col);
-            got.push(col[lane]);
-        }
-        let mut resumed = StatefulBiquad::new(coeffs);
-        resumed.restore(&group.store_lane(lane));
-        got.extend(signal[leave..].iter().map(|&x| resumed.push(x)));
-
-        prop_assert!(bits_eq(&got, &expected));
-        let (rs, es) = (resumed.snapshot(), reference.snapshot());
-        prop_assert_eq!(rs.s1.to_bits(), es.s1.to_bits());
-        prop_assert_eq!(rs.s2.to_bits(), es.s2.to_bits());
     }
 }

@@ -47,8 +47,6 @@
 //! [`crate::DspError::LengthMismatch`]. This is the substrate for
 //! session migration and crash recovery in the serving layer.
 
-pub mod lanes;
-
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -363,12 +361,6 @@ impl StreamingDerivative {
         out
     }
 
-    /// Total samples pushed since stream start (or the last reset).
-    #[must_use]
-    pub fn samples_seen(&self) -> usize {
-        self.seen
-    }
-
     /// Resets to the start-of-stream state.
     pub fn reset(&mut self) {
         self.prev = 0.0;
@@ -528,24 +520,6 @@ impl StreamingZeroPhase {
     #[must_use]
     pub fn block_samples(&self) -> usize {
         self.block
-    }
-
-    /// Samples of raw input currently awaiting a complete block.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Samples of forward-pass output not yet settled.
-    #[must_use]
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Whether the stream-start forward priming has run.
-    #[must_use]
-    pub fn is_primed(&self) -> bool {
-        self.primed
     }
 
     /// Returns the stage to its start-of-stream state: the forward
@@ -1077,6 +1051,7 @@ mod tests {
         assert_eq!((good.pending.len(), good.tail.len()), (37, settle));
 
         let mut z = StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block);
+        let fresh = z.snapshot();
         let mut whole_block = good.clone();
         whole_block.pending.resize(block, 0.0);
         let mut long_tail = good.clone();
@@ -1086,10 +1061,7 @@ mod tests {
         for bad in [&whole_block, &long_tail, &unprimed_tail] {
             assert!(z.restore(bad).is_err());
             // A rejected snapshot leaves the stage untouched.
-            assert_eq!(
-                (z.pending_len(), z.tail_len(), z.is_primed()),
-                (0, 0, false)
-            );
+            assert_eq!(z.snapshot(), fresh);
         }
         z.restore(&good).unwrap();
         assert_eq!(z.snapshot(), good);

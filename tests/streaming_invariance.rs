@@ -29,9 +29,19 @@ fn recording(seed: u64) -> PairedRecording {
     .expect("valid session")
 }
 
+/// How each chunk is handed to the engine.
+#[derive(Clone, Copy)]
+enum Drive {
+    /// One `push` per chunk.
+    Push,
+    /// `ingest_qualified` buffers the chunk, then an empty
+    /// `push_qualified` drains every hop it completed.
+    IngestThenDrain,
+}
+
 /// Streams a recording through a fresh engine in chunks whose sizes
 /// cycle through `sizes`, returning every emission.
-fn run_chunked(ecg: &[f64], z: &[f64], sizes: &[usize]) -> Vec<BeatReport> {
+fn run_chunked(ecg: &[f64], z: &[f64], sizes: &[usize], drive: Drive) -> Vec<BeatReport> {
     let mut stream = BeatStream::new(PipelineConfig::paper_default(FS)).expect("valid config");
     let mut out = Vec::new();
     let mut at = 0;
@@ -39,11 +49,15 @@ fn run_chunked(ecg: &[f64], z: &[f64], sizes: &[usize]) -> Vec<BeatReport> {
     while at < ecg.len() {
         let take = sizes[k % sizes.len()].min(ecg.len() - at);
         k += 1;
-        out.extend(
-            stream
-                .push(&ecg[at..at + take], &z[at..at + take])
-                .expect("push"),
-        );
+        let (e, zc) = (&ecg[at..at + take], &z[at..at + take]);
+        match drive {
+            Drive::Push => out.extend(stream.push(e, zc).expect("push")),
+            Drive::IngestThenDrain => {
+                stream.ingest_qualified(e, zc).expect("ingest");
+                let drained = stream.push_qualified(&[], &[]).expect("drain");
+                out.extend(drained.into_iter().map(|q| q.report));
+            }
+        }
         at += take;
     }
     out
@@ -66,16 +80,18 @@ proptest! {
 
     /// Any chunking — one-sample trickle, odd primes, or one chunk far
     /// larger than the engine's internal buffers — yields bitwise
-    /// identical emissions for the same signal.
+    /// identical emissions for the same signal, whether each chunk is
+    /// pushed or split into ingestion plus an empty drain.
     #[test]
     fn emissions_are_chunk_size_invariant(
         seed in 0u64..200,
         sizes in prop::collection::vec(1usize..1200, 1..4),
     ) {
         let rec = recording(seed);
-        let reference = run_chunked(rec.device_ecg(), rec.device_z(), &[250]);
-        let chunked = run_chunked(rec.device_ecg(), rec.device_z(), &sizes);
-        assert_same(&reference, &chunked);
+        let (ecg, z) = (rec.device_ecg(), rec.device_z());
+        let reference = run_chunked(ecg, z, &[250], Drive::Push);
+        assert_same(&reference, &run_chunked(ecg, z, &sizes, Drive::Push));
+        assert_same(&reference, &run_chunked(ecg, z, &sizes, Drive::IngestThenDrain));
     }
 
     /// One chunk spanning the *whole* recording (far beyond the windowed
@@ -83,8 +99,8 @@ proptest! {
     #[test]
     fn single_giant_chunk_matches_paced_feed(seed in 0u64..200) {
         let rec = recording(seed);
-        let paced = run_chunked(rec.device_ecg(), rec.device_z(), &[250]);
-        let giant = run_chunked(rec.device_ecg(), rec.device_z(), &[usize::MAX >> 1]);
+        let paced = run_chunked(rec.device_ecg(), rec.device_z(), &[250], Drive::Push);
+        let giant = run_chunked(rec.device_ecg(), rec.device_z(), &[usize::MAX >> 1], Drive::Push);
         assert_same(&paced, &giant);
     }
 
@@ -110,7 +126,7 @@ proptest! {
             ecg[i] = bad;
             z[i] = bad;
         }
-        let beats = run_chunked(&ecg, &z, &[125]);
+        let beats = run_chunked(&ecg, &z, &[125], Drive::Push);
         for b in &beats {
             prop_assert!(b.r < b.b && b.b < b.c && b.c < b.x);
             prop_assert!(b.pep_s.is_finite() && b.lvet_s.is_finite());
