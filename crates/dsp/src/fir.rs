@@ -192,16 +192,45 @@ impl Fir {
     ///
     /// This is the hot-path entry used by the pipeline's pre-allocated
     /// scratch buffers; [`Fir::filter`] is the convenience wrapper.
+    ///
+    /// Output `n` is `0.0 + taps[0]·x[n] + … + taps[kmax]·x[n − kmax]`
+    /// with `kmax = min(n, order)`, summed in ascending `k`. Full-tap
+    /// outputs are computed eight at a time, one independent accumulator
+    /// each, so the eight dependent add chains overlap (and vectorise)
+    /// without changing any output's summation order.
     pub fn filter_into(&self, x: &[f64], y: &mut Vec<f64>) {
+        const BLOCK: usize = 8;
+        let taps = &self.taps[..];
+        let order = taps.len() - 1;
         y.clear();
         y.resize(x.len(), 0.0);
-        for (n, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            let kmax = n.min(self.taps.len() - 1);
-            for k in 0..=kmax {
-                acc += self.taps[k] * x[n - k];
+        let scalar = |n: usize| {
+            taps[..=n.min(order)]
+                .iter()
+                .zip(x[..=n].iter().rev())
+                .fold(0.0, |acc, (t, v)| acc + t * v)
+        };
+        // The first `order` outputs see partial taps; they and the last
+        // `< BLOCK` outputs stay scalar.
+        let head = order.min(x.len());
+        let (partial, full) = y.split_at_mut(head);
+        for (n, out) in partial.iter_mut().enumerate() {
+            *out = scalar(n);
+        }
+        let mut blocks = full.chunks_exact_mut(BLOCK);
+        let mut n = head;
+        for out in &mut blocks {
+            let mut acc = [0.0; BLOCK];
+            for (k, &t) in taps.iter().enumerate() {
+                for (a, &v) in acc.iter_mut().zip(&x[n - k..n - k + BLOCK]) {
+                    *a += t * v;
+                }
             }
-            *out = acc;
+            out.copy_from_slice(&acc);
+            n += BLOCK;
+        }
+        for (i, out) in blocks.into_remainder().iter_mut().enumerate() {
+            *out = scalar(n + i);
         }
     }
 

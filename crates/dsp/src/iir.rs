@@ -310,11 +310,30 @@ impl Butterworth {
     }
 
     /// Filters the buffer through the cascade in place without
-    /// allocating: each biquad section runs over the buffer in sequence,
-    /// exactly as the allocating path does.
+    /// allocating. Sections run two at a time in one sample loop with
+    /// both states in registers: section `k` at sample `n + 1` overlaps
+    /// section `k + 1` at sample `n`. Every section performs the same
+    /// operations on the same inputs as [`Biquad::filter_in_place`] run
+    /// section after section, so the output is bitwise that of the plain
+    /// cascade; an odd last section runs through `filter_in_place`.
     pub fn filter_in_place(&self, x: &mut [f64]) {
-        for s in &self.sections {
-            s.filter_in_place(x);
+        let mut pairs = self.sections.chunks_exact(2);
+        for pair in &mut pairs {
+            let (p, q) = (pair[0], pair[1]);
+            let (mut p1, mut p2, mut q1, mut q2) = (0.0, 0.0, 0.0, 0.0);
+            for xn in x.iter_mut() {
+                let input = *xn;
+                let yp = p.b0 * input + p1;
+                p1 = p.b1 * input - p.a1 * yp + p2;
+                p2 = p.b2 * input - p.a2 * yp;
+                let yq = q.b0 * yp + q1;
+                q1 = q.b1 * yp - q.a1 * yq + q2;
+                q2 = q.b2 * yp - q.a2 * yq;
+                *xn = yq;
+            }
+        }
+        if let [last] = pairs.remainder() {
+            last.filter_in_place(x);
         }
     }
 

@@ -9,9 +9,10 @@
 //! straddle the widest in-beat feature. [`estimate_baseline`] implements
 //! exactly that pipeline and [`remove_baseline`] subtracts the estimate.
 //!
-//! Erosion and dilation use the van Herk/Gil–Werman sliding-window
-//! min/max algorithm, which is O(n) regardless of element length — this is
-//! what makes the method viable on a 32 MHz STM32L151.
+//! Erosion and dilation use a monotonic-deque sliding-window min/max:
+//! each sample enters and leaves the deque at most once, so a pass costs
+//! amortised O(n) regardless of element length — this is what makes the
+//! method viable on a 32 MHz STM32L151.
 
 use crate::DspError;
 use std::collections::VecDeque;

@@ -9,8 +9,6 @@
 //! * [`StatefulBiquad`] / [`StreamingCascade`] — causal IIR sections with
 //!   persistent direct-form-II-transposed state; a chunk costs
 //!   `O(len × sections)` regardless of how much signal came before;
-//! * [`StreamingFir`] — causal FIR convolution against a ring-buffer
-//!   delay line of the last `order` inputs;
 //! * [`StreamingDerivative`] — the central-difference kernel of
 //!   [`crate::diff::derivative`] with one sample of latency;
 //! * [`StreamingZeroPhase`] — an incremental emulation of
@@ -43,7 +41,7 @@
 //! [`crate::design_cache`] on the restoring side. Restoring a snapshot
 //! into a freshly designed kernel of the same shape resumes the stream
 //! bitwise-identically to one that never paused; a shape mismatch
-//! (different section count or tap count) is rejected with
+//! (different section count) is rejected with
 //! [`crate::DspError::LengthMismatch`]. This is the substrate for
 //! session migration and crash recovery in the serving layer.
 
@@ -217,108 +215,6 @@ impl StreamingCascade {
 pub struct CascadeState {
     /// Delay registers, one pair per biquad section.
     pub sections: Vec<(f64, f64)>,
-}
-
-/// Causal streaming FIR: a ring-buffer delay line of the last `order`
-/// inputs convolved against shared taps. Output sample `n` equals the
-/// batch [`crate::fir::Fir::filter`] output at `n` exactly (both treat
-/// the pre-stream past as zero).
-#[derive(Debug, Clone)]
-pub struct StreamingFir {
-    filter: Arc<crate::fir::Fir>,
-    /// Ring of the last `taps.len()` inputs; `pos` is the slot the *next*
-    /// sample will occupy.
-    ring: Vec<f64>,
-    pos: usize,
-}
-
-impl StreamingFir {
-    /// Creates a streaming FIR with a zeroed delay line over shared taps.
-    #[must_use]
-    pub fn new(filter: Arc<crate::fir::Fir>) -> Self {
-        let ring = vec![0.0; filter.taps().len()];
-        Self {
-            filter,
-            ring,
-            pos: 0,
-        }
-    }
-
-    /// The underlying design.
-    #[must_use]
-    pub fn filter(&self) -> &Arc<crate::fir::Fir> {
-        &self.filter
-    }
-
-    /// Pushes one sample and returns the filter output at that sample.
-    #[inline]
-    pub fn push(&mut self, x: f64) -> f64 {
-        let len = self.ring.len();
-        self.ring[self.pos] = x;
-        let taps = self.filter.taps();
-        let mut acc = 0.0;
-        // taps[k] pairs with the input k samples ago: ring[pos - k].
-        let mut idx = self.pos;
-        for &t in taps {
-            acc += t * self.ring[idx];
-            idx = if idx == 0 { len - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % len;
-        acc
-    }
-
-    /// Filters `chunk` into `out` (cleared first), reusing its capacity.
-    pub fn process_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(chunk.len());
-        for &x in chunk {
-            out.push(self.push(x));
-        }
-    }
-
-    /// Zeroes the delay line.
-    pub fn reset(&mut self) {
-        self.ring.fill(0.0);
-        self.pos = 0;
-    }
-
-    /// Captures the delay line and ring position (taps excluded).
-    #[must_use]
-    pub fn snapshot(&self) -> FirState {
-        FirState {
-            ring: self.ring.clone(),
-            pos: self.pos,
-        }
-    }
-
-    /// Overwrites the delay line from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`DspError::LengthMismatch`] when the snapshot was taken from a
-    /// FIR of a different order (ring length differs) or the stored
-    /// position exceeds the ring.
-    pub fn restore(&mut self, state: &FirState) -> Result<(), DspError> {
-        if state.ring.len() != self.ring.len() || state.pos >= self.ring.len() {
-            return Err(DspError::LengthMismatch {
-                left: state.ring.len(),
-                right: self.ring.len(),
-            });
-        }
-        self.ring.copy_from_slice(&state.ring);
-        self.pos = state.pos;
-        Ok(())
-    }
-}
-
-/// Mutable state of a [`StreamingFir`]: the input delay line and the
-/// slot the next sample will occupy.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FirState {
-    /// Ring of the last `taps.len()` inputs.
-    pub ring: Vec<f64>,
-    /// Slot the next input sample will occupy.
-    pub pos: usize,
 }
 
 /// Streaming central-difference first derivative, matching
@@ -815,7 +711,6 @@ pub struct HistoryRingState {
 mod tests {
     use super::*;
     use crate::design_cache;
-    use crate::window::Window;
     use crate::zero_phase::filtfilt_iir;
 
     const FS: f64 = 250.0;
@@ -861,24 +756,6 @@ mod tests {
             out
         };
         assert_eq!(run(1), run(613));
-    }
-
-    #[test]
-    fn streaming_fir_matches_batch_bitwise() {
-        let f = design_cache::fir_bandpass(32, 0.05, 40.0, FS, Window::Hamming).unwrap();
-        let x = signal(800);
-        let batch = f.filter(&x);
-        let mut s = StreamingFir::new(f);
-        let mut out = Vec::new();
-        let mut buf = Vec::new();
-        for chunk in x.chunks(41) {
-            s.process_chunk(chunk, &mut buf);
-            out.extend_from_slice(&buf);
-        }
-        assert_eq!(out.len(), batch.len());
-        for (a, b) in out.iter().zip(&batch) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -987,44 +864,39 @@ mod tests {
     #[test]
     fn kernel_snapshots_resume_bitwise_mid_stream() {
         let lp = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
-        let fir = design_cache::fir_bandpass(32, 0.05, 40.0, FS, Window::Hamming).unwrap();
         let x = signal(1200);
         let split = 457;
 
         // Straight-through references.
         let mut c_ref = StreamingCascade::new(Arc::clone(&lp));
-        let mut f_ref = StreamingFir::new(Arc::clone(&fir));
         let mut d_ref = StreamingDerivative::new(FS);
         let mut z_ref = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
         let mut z_ref_out = Vec::new();
         let mut refs = Vec::new();
         for (i, &v) in x.iter().enumerate() {
-            refs.push((c_ref.push(v), f_ref.push(v), d_ref.push(v)));
+            refs.push((c_ref.push(v), d_ref.push(v)));
             z_ref.push_chunk(&x[i..=i], &mut z_ref_out);
         }
 
         // Run to `split`, snapshot, restore into fresh kernels, resume.
         let mut c = StreamingCascade::new(Arc::clone(&lp));
-        let mut f = StreamingFir::new(Arc::clone(&fir));
         let mut d = StreamingDerivative::new(FS);
         let mut z = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
         let mut z_out = Vec::new();
         for (i, &v) in x[..split].iter().enumerate() {
-            let got = (c.push(v), f.push(v), d.push(v));
+            let got = (c.push(v), d.push(v));
             assert_eq!(got, refs[i]);
             z.push_chunk(&x[i..=i], &mut z_out);
         }
-        let (cs, fs_state, ds, zs) = (c.snapshot(), f.snapshot(), d.snapshot(), z.snapshot());
+        let (cs, ds, zs) = (c.snapshot(), d.snapshot(), z.snapshot());
         let mut c2 = StreamingCascade::new(Arc::clone(&lp));
-        let mut f2 = StreamingFir::new(Arc::clone(&fir));
         let mut d2 = StreamingDerivative::new(FS);
         let mut z2 = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
         c2.restore(&cs).unwrap();
-        f2.restore(&fs_state).unwrap();
         d2.restore(&ds);
         z2.restore(&zs).unwrap();
         for (i, &v) in x[split..].iter().enumerate() {
-            let got = (c2.push(v), f2.push(v), d2.push(v));
+            let got = (c2.push(v), d2.push(v));
             assert_eq!(got, refs[split + i], "sample {}", split + i);
             z2.push_chunk(&x[split + i..=split + i], &mut z_out);
         }
