@@ -21,9 +21,16 @@
 //! shutdown) use the blocking send — they must not be dropped, and a
 //! full mailbox only delays them until the shard drains its ingest
 //! backlog. The mailbox is a `Mutex<VecDeque>` + condvars rather than a
-//! lock-free ring: it carries a handful of control messages per second
-//! (the sample data itself is `Arc`-shared and never queued), so
-//! per-message lock cost is irrelevant next to the 1 s hop cadence.
+//! lock-free ring. Sample data does travel through it: every run the
+//! control thread's [`FrontDoor`] reassembles becomes one
+//! `WireSamples` message owning two fresh `Vec<f64>` copies (ECG and
+//! Z), so a 256-session wire fleet queues two runs per session per 1 s
+//! tick — 512 messages per slot — next to its few control commands.
+//! Batching a shard's runs into one message per `wire_push` was
+//! measured *slower* (×0.88 `sustained_sessions` on serve-steady over 4
+//! A/B pairs): the shards then start only after the whole tick is
+//! decoded instead of working through early runs while the control
+//! thread decodes the rest.
 //!
 //! # Supervision
 //!

@@ -231,6 +231,46 @@ impl ChannelMonitor {
         prev
     }
 
+    /// Length of the longest prefix of `x` that [`Self::observe`] would
+    /// count as clean from the current flat-run state: finite, strictly
+    /// inside the rails, and never completing a flat run.
+    fn clean_prefix(&self, x: &[f64]) -> usize {
+        let (mut flat_run, mut last_bits) = (self.flat_run, self.last_bits);
+        for (i, &v) in x.iter().enumerate() {
+            let bits = v.to_bits();
+            if bits == last_bits {
+                flat_run += 1;
+            } else {
+                flat_run = 0;
+                last_bits = bits;
+            }
+            // NaN fails both comparisons, ±∞ one of them.
+            if !(self.rail_lo < v && v < self.rail_hi) || flat_run >= self.flat {
+                return i;
+            }
+        }
+        x.len()
+    }
+
+    /// [`Self::observe`] over samples [`Self::clean_prefix`] accepted, from
+    /// a `Good` state: no edge, only the run counters and the flat-run
+    /// detector move.
+    fn take_clean(&mut self, x: &[f64]) {
+        let Some(&newest) = x.last() else {
+            return;
+        };
+        let bits = newest.to_bits();
+        let same = x.iter().rev().take_while(|v| v.to_bits() == bits).count();
+        self.flat_run = if same == x.len() && bits == self.last_bits {
+            self.flat_run + same
+        } else {
+            same - 1
+        };
+        self.last_bits = bits;
+        self.bad_run = 0;
+        self.good_run += x.len();
+    }
+
     /// Captures the run counters and machine state (thresholds are
     /// derived from the configuration and re-computed on restore).
     fn snapshot(&self) -> MonitorState {
@@ -253,6 +293,16 @@ impl ChannelMonitor {
         self.last_bits = state.last_bits;
         self.run_had_nonfinite = state.run_had_nonfinite;
     }
+}
+
+/// Ingestion metric deltas for one chunk, flushed as one counter add
+/// each.
+#[derive(Debug, Default)]
+struct IngestTally {
+    sanitized: u64,
+    holdovers: u64,
+    transitions: u64,
+    truncated: u64,
 }
 
 /// Worst combined ladder state over the absolute range `[lo, hi)`.
@@ -537,6 +587,11 @@ impl BeatStream {
     /// an empty `push_qualified` emits the same beats; profilers use the
     /// split to time ingestion apart from hop processing.
     ///
+    /// Clean runs — the steady state of a good contact — move through
+    /// the ladder, the holdover fill and the pending buffers in bulk;
+    /// only the samples between them step the ladder one at a time. The
+    /// result is bitwise that of stepping every sample.
+    ///
     /// # Errors
     ///
     /// * [`CoreError::ChannelLengthMismatch`] when the chunks differ in
@@ -551,106 +606,156 @@ impl BeatStream {
         // Metric deltas accumulate locally and flush as one batched
         // atomic add per counter per chunk, keeping the per-sample loop
         // free of shared-memory traffic.
-        let mut sanitized: u64 = 0;
-        let mut holdovers: u64 = 0;
-        let mut transitions: u64 = 0;
-        let mut truncated: u64 = 0;
-        let mut last_sev = self.state_log.back().map_or(0, |&(_, sev)| sev);
-        for (i, (&e, &zv)) in ecg.iter().zip(z).enumerate() {
-            let idx = self.pushed + i;
-
-            // Ladder detectors observe the *raw* samples; transitions
-            // are pure functions of the absolute sample history, so the
-            // ladder is chunk-size invariant by construction.
-            let e_prev = self.ecg_mon.observe(e);
-            let z_prev = self.z_mon.observe(zv);
-            let (e_state, z_state) = (self.ecg_mon.state, self.z_mon.state);
-            for (prev, now, mon) in [
-                (e_prev, e_state, &self.ecg_mon),
-                (z_prev, z_state, &self.z_mon),
-            ] {
-                if prev == now {
-                    continue;
-                }
-                transitions += 1;
-                if now == SignalState::Lost && mon.run_had_nonfinite {
-                    // The holdover cap tripped while fabricating data.
-                    truncated += 1;
-                }
-                if prev == SignalState::Lost && now == SignalState::Recovering {
-                    // Warm-restart the conditioning chain at the next
-                    // hop boundary and suppress beats until re-lock.
-                    if self.restarts.back() != Some(&idx) {
-                        self.restarts.push_back(idx);
-                    }
-                    self.suppress_before = self.suppress_before.max(idx + mon.relock);
-                }
+        let mut tally = IngestTally::default();
+        self.pend_ecg.reserve(ecg.len());
+        self.pend_z.reserve(z.len());
+        let mut i = 0;
+        while i < ecg.len() {
+            i += self.ingest_clean_run(&ecg[i..], &z[i..]);
+            if i < ecg.len() {
+                self.ingest_sample(self.pushed + i, ecg[i], z[i], &mut tally);
+                i += 1;
             }
-            let sev = e_state.severity().max(z_state.severity());
-            if sev != last_sev {
-                self.state_log.push_back((idx, sev));
-                last_sev = sev;
-            }
-
-            // ECG fill: hold the last finite value over glitches (the
-            // recursive filters must never ingest a NaN), but stop
-            // fabricating once the ladder declares the channel lost.
-            if e.is_finite() {
-                self.last_ecg = e;
-                self.ecg_in_holdover = false;
-            } else {
-                sanitized += 1;
-                if !self.ecg_in_holdover {
-                    holdovers += 1;
-                    self.ecg_in_holdover = true;
-                }
-            }
-            self.pend_ecg.push(if e_state == SignalState::Lost {
-                0.0
-            } else {
-                self.last_ecg
-            });
-
-            // Z fill: same policy; the neutral value is the frozen slow
-            // EMA of clean impedance, so Z0 estimates do not drift
-            // toward an arbitrary constant during a loss.
-            if zv.is_finite() {
-                self.last_z = zv;
-                self.z_seen_finite = true;
-                self.z_in_holdover = false;
-                if z_state == SignalState::Good {
-                    if self.z_ema_init {
-                        self.z_ema += (zv - self.z_ema) / 256.0;
-                    } else {
-                        self.z_ema = zv;
-                        self.z_ema_init = true;
-                    }
-                }
-            } else {
-                sanitized += 1;
-                if !self.z_in_holdover {
-                    holdovers += 1;
-                    self.z_in_holdover = true;
-                }
-            }
-            self.pend_z.push(if z_state == SignalState::Lost {
-                self.z_ema
-            } else if self.z_seen_finite {
-                self.last_z
-            } else {
-                0.0
-            });
         }
         self.pushed += ecg.len();
-        if sanitized > 0 {
-            self.samples_sanitized.add(sanitized);
-            self.holdover_events.add(holdovers);
+        if tally.sanitized > 0 {
+            self.samples_sanitized.add(tally.sanitized);
+            self.holdover_events.add(tally.holdovers);
         }
-        if transitions > 0 {
-            self.state_transitions.add(transitions);
-            self.holdover_truncated.add(truncated);
+        if tally.transitions > 0 {
+            self.state_transitions.add(tally.transitions);
+            self.holdover_truncated.add(tally.truncated);
         }
         Ok(())
+    }
+
+    /// Ingests the longest clean run at the front of `ecg`/`z` in bulk and
+    /// returns its length. A run is clean while both channels are `Good`
+    /// with a `Good` combined log entry, and every sample is finite,
+    /// strictly inside its channel's rails and ends no flat run of
+    /// `flat` samples. For such samples [`Self::ingest_sample`] changes no
+    /// ladder state and fabricates nothing: it only counts the clean run,
+    /// tracks the flat-run detector, folds Z into `z_ema` and buffers the
+    /// raw values — which is what this does, a run at a time.
+    fn ingest_clean_run(&mut self, ecg: &[f64], z: &[f64]) -> usize {
+        if self.ecg_mon.state != SignalState::Good
+            || self.z_mon.state != SignalState::Good
+            || self.state_log.back().is_some_and(|&(_, sev)| sev != 0)
+        {
+            return 0;
+        }
+        let k = self.ecg_mon.clean_prefix(ecg);
+        let k = self.z_mon.clean_prefix(&z[..k]);
+        if k == 0 {
+            return 0;
+        }
+        let (ecg, z) = (&ecg[..k], &z[..k]);
+        self.ecg_mon.take_clean(ecg);
+        self.z_mon.take_clean(z);
+        self.last_ecg = ecg[k - 1];
+        self.ecg_in_holdover = false;
+        self.last_z = z[k - 1];
+        self.z_seen_finite = true;
+        self.z_in_holdover = false;
+        let mut rest = z;
+        if !self.z_ema_init {
+            self.z_ema = z[0];
+            self.z_ema_init = true;
+            rest = &z[1..];
+        }
+        let mut ema = self.z_ema;
+        for &zv in rest {
+            ema += (zv - ema) / 256.0;
+        }
+        self.z_ema = ema;
+        self.pend_ecg.extend_from_slice(ecg);
+        self.pend_z.extend_from_slice(z);
+        k
+    }
+
+    /// One step of the degradation ladder and holdover fill for the
+    /// sample pair at absolute index `idx`.
+    fn ingest_sample(&mut self, idx: usize, e: f64, zv: f64, tally: &mut IngestTally) {
+        // Ladder detectors observe the *raw* samples; transitions are
+        // pure functions of the absolute sample history, so the ladder
+        // is chunk-size invariant by construction.
+        let e_prev = self.ecg_mon.observe(e);
+        let z_prev = self.z_mon.observe(zv);
+        let (e_state, z_state) = (self.ecg_mon.state, self.z_mon.state);
+        for (prev, now, mon) in [
+            (e_prev, e_state, &self.ecg_mon),
+            (z_prev, z_state, &self.z_mon),
+        ] {
+            if prev == now {
+                continue;
+            }
+            tally.transitions += 1;
+            if now == SignalState::Lost && mon.run_had_nonfinite {
+                // The holdover cap tripped while fabricating data.
+                tally.truncated += 1;
+            }
+            if prev == SignalState::Lost && now == SignalState::Recovering {
+                // Warm-restart the conditioning chain at the next hop
+                // boundary and suppress beats until re-lock.
+                if self.restarts.back() != Some(&idx) {
+                    self.restarts.push_back(idx);
+                }
+                self.suppress_before = self.suppress_before.max(idx + mon.relock);
+            }
+        }
+        let sev = e_state.severity().max(z_state.severity());
+        if self.state_log.back().map_or(0, |&(_, last)| last) != sev {
+            self.state_log.push_back((idx, sev));
+        }
+
+        // ECG fill: hold the last finite value over glitches (the
+        // recursive filters must never ingest a NaN), but stop
+        // fabricating once the ladder declares the channel lost.
+        if e.is_finite() {
+            self.last_ecg = e;
+            self.ecg_in_holdover = false;
+        } else {
+            tally.sanitized += 1;
+            if !self.ecg_in_holdover {
+                tally.holdovers += 1;
+                self.ecg_in_holdover = true;
+            }
+        }
+        self.pend_ecg.push(if e_state == SignalState::Lost {
+            0.0
+        } else {
+            self.last_ecg
+        });
+
+        // Z fill: same policy; the neutral value is the frozen slow EMA
+        // of clean impedance, so Z0 estimates do not drift toward an
+        // arbitrary constant during a loss.
+        if zv.is_finite() {
+            self.last_z = zv;
+            self.z_seen_finite = true;
+            self.z_in_holdover = false;
+            if z_state == SignalState::Good {
+                if self.z_ema_init {
+                    self.z_ema += (zv - self.z_ema) / 256.0;
+                } else {
+                    self.z_ema = zv;
+                    self.z_ema_init = true;
+                }
+            }
+        } else {
+            tally.sanitized += 1;
+            if !self.z_in_holdover {
+                tally.holdovers += 1;
+                self.z_in_holdover = true;
+            }
+        }
+        self.pend_z.push(if z_state == SignalState::Lost {
+            self.z_ema
+        } else if self.z_seen_finite {
+            self.last_z
+        } else {
+            0.0
+        });
     }
 
     /// Applies a deferred warm restart: the conditioning chain is reset
@@ -685,11 +790,8 @@ impl BeatStream {
         // ECG: raw ring (for apex refinement) and online QRS detection.
         let ecg = &self.pend_ecg[off..off + hop];
         self.ecg_ring.extend(ecg);
-        for &e in ecg {
-            if let Some(r) = self.qrs.push(e) {
-                self.raw_rs.push_back(r);
-            }
-        }
+        let raw_rs = &mut self.raw_rs;
+        self.qrs.push_chunk(ecg, |r| raw_rs.push_back(r));
 
         // ICG: Z → Z0 running sum and −dZ/dt → streaming zero-phase
         // chain → delineator.
@@ -870,8 +972,8 @@ impl BeatStream {
     ///
     /// * [`CoreError::InvalidParameter`] when the snapshot was taken at
     ///   a different sampling rate than `config.fs`, or when its sample
-    ///   counters disagree with its pending buffers (a corrupted
-    ///   snapshot);
+    ///   counters disagree with its pending buffers or its QRS clock, or
+    ///   it holds a raw R at or past that clock (a corrupted snapshot);
     /// * [`CoreError::ChannelLengthMismatch`] when its pending ECG and Z
     ///   buffers differ in length (a corrupted snapshot);
     /// * shape-mismatch errors from the kernel restores (a corrupted
@@ -898,6 +1000,17 @@ impl BeatStream {
                 name: "snapshot.pushed",
                 value: snap.pushed as f64,
                 constraint: "must equal processed plus the pending samples",
+            });
+        }
+        // The detector sees every processed sample, and each raw R it
+        // confirmed lies behind its clock; an R past it would overflow
+        // the refinement-context test on the next hop.
+        if snap.qrs.sample_idx != snap.processed || snap.raw_rs.iter().any(|&r| r >= snap.processed)
+        {
+            return Err(CoreError::InvalidParameter {
+                name: "snapshot.raw_rs",
+                value: snap.qrs.sample_idx as f64,
+                constraint: "the QRS clock must equal processed and every raw R precede it",
             });
         }
         let mut s = Self::new(config)?;
@@ -1110,6 +1223,9 @@ impl ReanalysisBeatStream {
         Ok(out)
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1565,6 +1681,58 @@ mod tests {
             BeatStream::restore(config, &decoded),
             Err(CoreError::Dsp(_))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_forged_qrs_clock() {
+        let rec = recording(1);
+        let config = PipelineConfig::paper_default(250.0);
+        let mut stream = BeatStream::new(config).unwrap();
+        stream
+            .push(&rec.device_ecg()[..2500], &rec.device_z()[..2500])
+            .unwrap();
+        let good = stream.snapshot();
+        assert!(good.qrs.last_r.is_some());
+
+        // A detector clock no live detector reaches: warm-up over at
+        // sample 0 with an MWI peak pending would take `idx − 1` at
+        // idx 0; candidates or apexes past the clock would wait on (or
+        // emit) samples from the far future.
+        let mut zero_clock = BeatStream::new(config).unwrap().snapshot();
+        zero_clock.qrs.sample_idx = 0;
+        zero_clock.qrs.warmup = 0;
+        zero_clock.qrs.mwi_hist = [0.0, 0.0, 5.0];
+        let mut pending_ahead = good.clone();
+        pending_ahead.qrs.pending = Some(good.qrs.sample_idx);
+        let mut last_r_ahead = good.clone();
+        last_r_ahead.qrs.last_r = Some(usize::MAX - 63);
+        let mut short_warmup = good.clone();
+        short_warmup.qrs.warmup = 499;
+        for forged in [&zero_clock, &pending_ahead, &last_r_ahead, &short_warmup] {
+            let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
+            assert!(matches!(
+                BeatStream::restore(config, &decoded),
+                Err(CoreError::Ecg(_))
+            ));
+        }
+        // The stream's own queue of raw Rs awaiting refinement context
+        // must sit behind the same clock: one near `usize::MAX` would
+        // overflow `r + ctx` on the next hop.
+        let mut raw_r_ahead = good.clone();
+        raw_r_ahead.raw_rs = vec![usize::MAX - 10];
+        let mut clock_skew = good.clone();
+        clock_skew.qrs.sample_idx += 1;
+        for forged in [&raw_r_ahead, &clock_skew] {
+            let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
+            assert!(matches!(
+                BeatStream::restore(config, &decoded),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+        }
+        let mut resumed = BeatStream::restore(config, &good).unwrap();
+        resumed
+            .push(&rec.device_ecg()[2500..3000], &rec.device_z()[2500..3000])
+            .unwrap();
     }
 
     #[test]

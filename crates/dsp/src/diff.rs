@@ -50,9 +50,7 @@ pub fn derivative_into(x: &[f64], fs: f64, y: &mut Vec<f64>) -> Result<(), DspEr
     y.clear();
     y.reserve(n);
     y.push((x[1] - x[0]) * fs);
-    for i in 1..n - 1 {
-        y.push((x[i + 1] - x[i - 1]) * fs / 2.0);
-    }
+    y.extend(x.windows(3).map(|w| (w[2] - w[0]) * fs / 2.0));
     y.push((x[n - 1] - x[n - 2]) * fs);
     Ok(())
 }

@@ -173,20 +173,34 @@ pub fn first_local_minimum_left(x: &[f64], start: usize) -> Result<Option<usize>
 /// `pattern = [true, false, true, false]`.
 #[must_use]
 pub fn has_sign_pattern(x: &[f64], pattern: &[bool]) -> bool {
-    if pattern.is_empty() {
+    let Some(&head) = pattern.first() else {
         return true;
+    };
+    // Consecutive sign runs alternate by construction, so only an
+    // alternating pattern can match, and it does exactly when
+    // `pattern.len()` runs exist from the first run of sign `head` on.
+    if pattern.windows(2).any(|w| w[0] == w[1]) {
+        return false;
     }
-    let mut runs: Vec<bool> = Vec::new();
+    let mut last = None;
+    let mut matched = 0;
     for &v in x {
         if v == 0.0 {
             continue;
         }
         let s = v > 0.0;
-        if runs.last() != Some(&s) {
-            runs.push(s);
+        if last == Some(s) {
+            continue;
+        }
+        last = Some(s);
+        if matched > 0 || s == head {
+            matched += 1;
+            if matched == pattern.len() {
+                return true;
+            }
         }
     }
-    runs.windows(pattern.len()).any(|w| w == pattern)
+    false
 }
 
 #[cfg(test)]

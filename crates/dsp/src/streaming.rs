@@ -6,9 +6,10 @@
 //! sees one ADC chunk at a time and must never re-touch old samples. This
 //! module provides the incremental counterparts:
 //!
-//! * [`StatefulBiquad`] / [`StreamingCascade`] — causal IIR sections with
-//!   persistent direct-form-II-transposed state; a chunk costs
-//!   `O(len × sections)` regardless of how much signal came before;
+//! * [`StreamingCascade`] — causal IIR sections with persistent
+//!   direct-form-II-transposed state; a chunk costs `O(len × sections)`
+//!   regardless of how much signal came before, and runs the sections
+//!   two at a time in one sample loop;
 //! * [`StreamingDerivative`] — the central-difference kernel of
 //!   [`crate::diff::derivative`] with one sample of latency;
 //! * [`StreamingZeroPhase`] — an incremental emulation of
@@ -49,62 +50,10 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::DspError;
-use crate::iir::{Biquad, Butterworth};
+use crate::iir::Butterworth;
 
-/// One causal biquad section with persistent state (direct form II
-/// transposed) — the streaming twin of [`Biquad::filter_in_place`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatefulBiquad {
-    coefficients: Biquad,
-    s1: f64,
-    s2: f64,
-}
-
-impl StatefulBiquad {
-    /// Wraps a coefficient set with zeroed state.
-    #[must_use]
-    pub fn new(coefficients: Biquad) -> Self {
-        Self {
-            coefficients,
-            s1: 0.0,
-            s2: 0.0,
-        }
-    }
-
-    /// Filters one sample, advancing the internal state.
-    #[inline]
-    pub fn push(&mut self, x: f64) -> f64 {
-        let c = &self.coefficients;
-        let y = c.b0 * x + self.s1;
-        self.s1 = c.b1 * x - c.a1 * y + self.s2;
-        self.s2 = c.b2 * x - c.a2 * y;
-        y
-    }
-
-    /// Resets the state to zero (coefficients are kept).
-    pub fn reset(&mut self) {
-        self.s1 = 0.0;
-        self.s2 = 0.0;
-    }
-
-    /// Captures the mutable filter state (coefficients excluded).
-    #[must_use]
-    pub fn snapshot(&self) -> BiquadState {
-        BiquadState {
-            s1: self.s1,
-            s2: self.s2,
-        }
-    }
-
-    /// Overwrites the filter state from a snapshot.
-    pub fn restore(&mut self, state: &BiquadState) {
-        self.s1 = state.s1;
-        self.s2 = state.s2;
-    }
-}
-
-/// Mutable state of a [`StatefulBiquad`]: the two direct-form-II-
-/// transposed delay registers.
+/// The two direct-form-II-transposed delay registers of one biquad
+/// section.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BiquadState {
     /// First delay register.
@@ -153,11 +102,32 @@ impl StreamingCascade {
 
     /// Filters a chunk in place; each output sample and the end state are
     /// identical to what per-sample [`StreamingCascade::push`] calls would
-    /// produce. Runs section-major: each section's `(s1, s2)` is loaded
-    /// into locals once, carried in registers across the whole chunk and
-    /// stored back, so the recursion never round-trips through memory.
+    /// produce. Runs sections two at a time in one sample loop, as
+    /// [`Butterworth::filter_in_place`] does: both sections' `(s1, s2)`
+    /// stay in registers across the chunk, and section `k` at sample
+    /// `n + 1` overlaps section `k + 1` at sample `n`. An odd last section
+    /// runs alone.
     pub fn process_in_place(&mut self, chunk: &mut [f64]) {
-        for (c, state) in self.filter.sections().iter().zip(self.state.iter_mut()) {
+        let sections = self.filter.sections();
+        let (paired, odd) = sections.split_at(sections.len() & !1);
+        let (paired_state, odd_state) = self.state.split_at_mut(paired.len());
+        for (c, state) in paired.chunks_exact(2).zip(paired_state.chunks_exact_mut(2)) {
+            let (p, q) = (c[0], c[1]);
+            let ((mut p1, mut p2), (mut q1, mut q2)) = (state[0], state[1]);
+            for v in chunk.iter_mut() {
+                let x = *v;
+                let yp = p.b0 * x + p1;
+                p1 = p.b1 * x - p.a1 * yp + p2;
+                p2 = p.b2 * x - p.a2 * yp;
+                let yq = q.b0 * yp + q1;
+                q1 = q.b1 * yp - q.a1 * yq + q2;
+                q2 = q.b2 * yp - q.a2 * yq;
+                *v = yq;
+            }
+            state[0] = (p1, p2);
+            state[1] = (q1, q2);
+        }
+        if let ([c], [state]) = (odd, odd_state) {
             let (mut s1, mut s2) = *state;
             for v in chunk.iter_mut() {
                 let x = *v;
@@ -768,17 +738,6 @@ mod tests {
         // backward-difference edge a stream never sees
         assert_eq!(out.len(), x.len() - 1);
         assert_eq!(out[..], batch[..x.len() - 1]);
-    }
-
-    #[test]
-    fn stateful_biquad_matches_batch() {
-        let f = design_cache::butterworth_lowpass(2, 20.0, FS).unwrap();
-        let section = f.sections()[0];
-        let x = signal(300);
-        let batch = section.filter(&x);
-        let mut s = StatefulBiquad::new(section);
-        let out: Vec<f64> = x.iter().map(|&v| s.push(v)).collect();
-        assert_eq!(out, batch);
     }
 
     #[test]

@@ -113,8 +113,10 @@ pub fn filtfilt_fir_into(
 /// pass over the span alone. Reflected edge samples are computed on the
 /// fly with [`odd_reflect_into`]'s expressions, and both passes keep
 /// [`Fir::filter_into`]'s ascending-tap accumulation from `0.0`, so every
-/// output bit matches the full-length call. `work` holds the forward
-/// pass (`span.len() + order` samples at most).
+/// output bit matches the full-length call. As in `Fir::filter_into`,
+/// interior full-tap outputs of both passes run eight at a time, one
+/// accumulator each; outputs that read a reflected edge stay scalar.
+/// `work` holds the forward pass (`span.len() + order` samples at most).
 ///
 /// # Errors
 ///
@@ -151,12 +153,13 @@ pub fn filtfilt_fir_span_into(
     let taps = filter.taps();
     let np = n + 2 * ext;
     let (start, end) = (ext + span.start, ext + span.end);
-    // Forward pass over [start, end + order) of the padded signal.
-    work.clear();
-    for q in start..(end + order).min(np) {
+    // Forward pass over [start, q_end) of the padded signal. Outputs
+    // whose taps all read `x` itself run eight at a time, one
+    // accumulator each, as in `Fir::filter_into`; the edges stay scalar.
+    let fwd_at = |q: usize| {
         let taps_q = &taps[..=q.min(order)];
         let first = q + 1 - taps_q.len();
-        let acc = if first >= ext && q < ext + n {
+        if first >= ext && q < ext + n {
             let xs = x[first - ext..=q - ext].iter().rev();
             taps_q.iter().zip(xs).fold(0.0, |acc, (t, v)| acc + t * v)
         } else {
@@ -164,21 +167,59 @@ pub fn filtfilt_fir_span_into(
                 .iter()
                 .enumerate()
                 .fold(0.0, |acc, (k, t)| acc + t * padded(q - k))
-        };
-        work.push(acc);
+        }
+    };
+    let q_end = (end + order).min(np);
+    let full_lo = start.max(ext + order).min(q_end);
+    let full_hi = q_end.min(ext + n).max(full_lo);
+    work.clear();
+    work.extend((start..full_lo).map(fwd_at));
+    let mut q = full_lo;
+    while q + BLOCK <= full_hi {
+        work.extend_from_slice(&block_dot(taps, &x[q - ext - order..], true));
+        q += BLOCK;
     }
+    work.extend((q..q_end).map(fwd_at));
     // Backward pass, already in forward time order: output p reads
-    // forward samples [p, p + min(np − 1 − p, order)].
-    y.clear();
-    y.extend((start..end).map(|p| {
+    // forward samples [p, p + min(np − 1 − p, order)]; the outputs with
+    // all `order + 1` of them run eight at a time.
+    let bwd_at = |p: usize| {
         let m = (np - 1 - p).min(order);
         let fwd = &work[p - start..=p - start + m];
         taps[..=m]
             .iter()
             .zip(fwd)
             .fold(0.0, |acc, (t, v)| acc + t * v)
-    }));
+    };
+    let full_end = end.min(np.saturating_sub(order)).max(start);
+    y.clear();
+    let mut p = start;
+    while p + BLOCK <= full_end {
+        y.extend_from_slice(&block_dot(taps, &work[p - start..], false));
+        p += BLOCK;
+    }
+    y.extend((p..end).map(bwd_at));
     Ok(())
+}
+
+/// Outputs computed per block by the span kernel's full-tap loops.
+const BLOCK: usize = 8;
+
+/// Eight full-tap dot products at once, one accumulator each, taps in
+/// ascending order from `0.0`. `reversed` convolves (output `j` is
+/// `Σ taps[k]·s[order + j − k]`, the forward pass); otherwise it
+/// correlates (`Σ taps[k]·s[j + k]`, the backward pass read in forward
+/// time).
+fn block_dot(taps: &[f64], s: &[f64], reversed: bool) -> [f64; BLOCK] {
+    let order = taps.len() - 1;
+    let mut acc = [0.0; BLOCK];
+    for (k, &t) in taps.iter().enumerate() {
+        let at = if reversed { order - k } else { k };
+        for (a, &v) in acc.iter_mut().zip(&s[at..at + BLOCK]) {
+            *a += t * v;
+        }
+    }
+    acc
 }
 
 /// Applies a Butterworth cascade forward and backward over `x`, returning a

@@ -9,16 +9,29 @@
 //! dual thresholds, and R-apex localisation against a short raw-signal
 //! ring buffer. Detections are emitted at most
 //! [`OnlinePanTompkins::MAX_LATENCY_S`] after the apex.
+//!
+//! [`OnlinePanTompkins::push_chunk`] is the kernel; `push` is a
+//! one-sample call to it. A chunk runs as one sample loop over locals:
+//! the high-pass and low-pass band-pass sections in registers as a pair,
+//! the derivative and MWI histories shifted in registers, and the raw and
+//! MWI rings advanced by compare-and-wrap. Its output and end state are
+//! bitwise those of the per-sample loop at any chunking (pinned by the
+//! `oracle_` property in `tests/properties.rs`). The streaming engine
+//! calls it once per 1 s hop.
 
 use crate::EcgError;
 use cardiotouch_dsp::design_cache;
-use cardiotouch_dsp::streaming::{BiquadState, StatefulBiquad};
+use cardiotouch_dsp::iir::Biquad;
+use cardiotouch_dsp::streaming::BiquadState;
 
 /// The streaming QRS detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlinePanTompkins {
     fs: f64,
-    sections: Vec<StatefulBiquad>,
+    /// The 5–15 Hz band-pass: its high-pass and low-pass sections.
+    sections: [Biquad; 2],
+    /// Direct-form-II-transposed registers of `sections`.
+    bp_state: [BiquadState; 2],
     /// last 5 band-passed samples for the derivative kernel
     bp_hist: [f64; 5],
     /// moving-window-integration ring buffer of squared samples
@@ -60,15 +73,19 @@ impl OnlinePanTompkins {
             });
         }
         let bp = design_cache::butterworth_bandpass(2, 5.0, 15.0, fs)?;
+        let &[hp_section, lp_section] = bp.sections() else {
+            return Err(EcgError::InvalidParameter {
+                name: "fs",
+                value: fs,
+                constraint: "the order-2 band-pass must design to two sections",
+            });
+        };
         let w = (0.150 * fs).round().max(1.0) as usize;
         let ring = (0.40 * fs).round() as usize;
         Ok(Self {
             fs,
-            sections: bp
-                .sections()
-                .iter()
-                .map(|&c| StatefulBiquad::new(c))
-                .collect(),
+            sections: [hp_section, lp_section],
+            bp_state: [BiquadState::default(); 2],
             bp_hist: [0.0; 5],
             mwi_buf: vec![0.0; w],
             mwi_pos: 0,
@@ -98,9 +115,7 @@ impl OnlinePanTompkins {
     /// **preserves the absolute sample clock**, so detections emitted
     /// after the restart stay in absolute stream coordinates.
     pub fn restart(&mut self) {
-        for s in &mut self.sections {
-            s.reset();
-        }
+        self.bp_state = [BiquadState::default(); 2];
         self.bp_hist = [0.0; 5];
         self.mwi_buf.fill(0.0);
         self.mwi_pos = 0;
@@ -115,77 +130,122 @@ impl OnlinePanTompkins {
     }
 
     /// Pushes one raw ECG sample; returns the absolute sample index of a
-    /// newly confirmed R peak, if one was just confirmed.
+    /// newly confirmed R peak, if one was just confirmed. A one-sample
+    /// [`OnlinePanTompkins::push_chunk`].
     pub fn push(&mut self, sample: f64) -> Option<usize> {
-        let idx = self.sample_idx;
-        self.sample_idx += 1;
+        let mut r = None;
+        self.push_chunk(std::slice::from_ref(&sample), |v| r = Some(v));
+        r
+    }
 
-        // raw ring for apex localisation
+    /// Pushes a chunk of raw ECG samples, calling `on_r` with the
+    /// absolute sample index of every R peak confirmed along the way, in
+    /// order. Bitwise what per-sample [`OnlinePanTompkins::push`] calls
+    /// would emit and leave behind, at any chunking.
+    ///
+    /// One sample loop carries the whole state in locals: both band-pass
+    /// sections run as a pair with their registers in registers, the
+    /// derivative and MWI histories shift as locals, and the raw and MWI
+    /// rings advance by compare-and-wrap instead of `%`.
+    pub fn push_chunk(&mut self, chunk: &[f64], mut on_r: impl FnMut(usize)) {
+        let [p, q] = self.sections;
+        let [BiquadState {
+            s1: mut p1,
+            s2: mut p2,
+        }, BiquadState {
+            s1: mut q1,
+            s2: mut q2,
+        }] = self.bp_state;
+        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.bp_hist;
+        let [mut m0, mut m1, mut m2] = self.mwi_hist;
+        let (mut mwi_sum, mut mwi_pos) = (self.mwi_sum, self.mwi_pos);
+        let (mut spki, mut npki) = (self.spki, self.npki);
+        let (mut last_r, mut pending) = (self.last_r, self.pending);
+        let fs = self.fs;
+        let warmup = self.warmup;
+        let refractory = self.refractory;
+        let settle = (0.05 * fs) as usize;
+        let mwi_len = self.mwi_buf.len();
         let ring_len = self.raw_ring.len();
-        self.raw_ring[idx % ring_len] = sample;
-
-        // causal band-pass
-        let mut bp = sample;
-        for s in self.sections.iter_mut() {
-            bp = s.push(bp);
-        }
-        // five-point derivative
-        self.bp_hist.rotate_left(1);
-        self.bp_hist[4] = bp;
-        let d = (2.0 * self.bp_hist[4] + self.bp_hist[3] - self.bp_hist[1] - 2.0 * self.bp_hist[0])
-            * self.fs
-            / 8.0;
-        // squaring + moving-window integration
-        let sq = d * d;
-        self.mwi_sum += sq - self.mwi_buf[self.mwi_pos];
-        self.mwi_buf[self.mwi_pos] = sq;
-        self.mwi_pos = (self.mwi_pos + 1) % self.mwi_buf.len();
-        let mwi = self.mwi_sum / self.mwi_buf.len() as f64;
-        self.mwi_hist.rotate_left(1);
-        self.mwi_hist[2] = mwi;
-
-        // threshold warm-up: track the maximum during the first seconds
-        if idx < self.warmup {
-            if mwi > self.spki {
-                self.spki = mwi;
-                self.npki = 0.1 * mwi;
+        let mut ring_pos = self.sample_idx % ring_len;
+        let mut idx = self.sample_idx;
+        for &sample in chunk {
+            self.raw_ring[ring_pos] = sample;
+            ring_pos += 1;
+            if ring_pos == ring_len {
+                ring_pos = 0;
             }
-            return None;
-        }
 
-        // local maximum of the MWI one sample ago?
-        let is_peak = self.mwi_hist[1] > self.mwi_hist[0] && self.mwi_hist[1] >= self.mwi_hist[2];
-        if is_peak {
-            let peak_val = self.mwi_hist[1];
-            let peak_idx = idx - 1;
-            let since_last = self
-                .last_r
-                .map_or(usize::MAX, |r| peak_idx.saturating_sub(r));
-            if peak_val > self.threshold() && since_last > self.refractory {
-                self.spki = 0.125 * peak_val + 0.875 * self.spki;
-                self.pending = Some(peak_idx);
-            } else {
-                self.npki = 0.125 * peak_val + 0.875 * self.npki;
+            // causal band-pass: the high-pass and low-pass sections
+            let yp = p.b0 * sample + p1;
+            p1 = p.b1 * sample - p.a1 * yp + p2;
+            p2 = p.b2 * sample - p.a2 * yp;
+            let bp = q.b0 * yp + q1;
+            q1 = q.b1 * yp - q.a1 * bp + q2;
+            q2 = q.b2 * yp - q.a2 * bp;
+            // five-point derivative
+            (h0, h1, h2, h3, h4) = (h1, h2, h3, h4, bp);
+            let d = (2.0 * h4 + h3 - h1 - 2.0 * h0) * fs / 8.0;
+            // squaring + moving-window integration
+            let sq = d * d;
+            mwi_sum += sq - self.mwi_buf[mwi_pos];
+            self.mwi_buf[mwi_pos] = sq;
+            mwi_pos += 1;
+            if mwi_pos == mwi_len {
+                mwi_pos = 0;
             }
-        }
+            let mwi = mwi_sum / mwi_len as f64;
+            (m0, m1, m2) = (m1, m2, mwi);
 
-        // Confirm a pending candidate once enough post-peak context has
-        // streamed in to localise the apex (the MWI lags the QRS by
-        // roughly the integration window).
-        if let Some(peak_idx) = self.pending {
-            let settle = (0.05 * self.fs) as usize;
-            if idx >= peak_idx + settle {
-                self.pending = None;
-                let r = self.localize_apex(peak_idx);
-                // apex must respect the refractory after localisation too
-                if self.last_r.map_or(true, |p| r > p + self.refractory) {
-                    self.last_r = Some(r);
-                    self.beats_detected.inc();
-                    return Some(r);
+            let now = idx;
+            idx += 1;
+            // threshold warm-up: track the maximum during the first seconds
+            if now < warmup {
+                if mwi > spki {
+                    spki = mwi;
+                    npki = 0.1 * mwi;
+                }
+                continue;
+            }
+
+            // local maximum of the MWI one sample ago?
+            if m1 > m0 && m1 >= m2 {
+                let peak_idx = now - 1;
+                let since_last = last_r.map_or(usize::MAX, |r| peak_idx.saturating_sub(r));
+                if m1 > npki + 0.25 * (spki - npki) && since_last > refractory {
+                    spki = 0.125 * m1 + 0.875 * spki;
+                    pending = Some(peak_idx);
+                } else {
+                    npki = 0.125 * m1 + 0.875 * npki;
+                }
+            }
+
+            // Confirm a pending candidate once enough post-peak context has
+            // streamed in to localise the apex (the MWI lags the QRS by
+            // roughly the integration window).
+            if let Some(peak_idx) = pending {
+                if now >= peak_idx + settle {
+                    pending = None;
+                    let r = self.localize_apex(peak_idx, idx);
+                    // apex must respect the refractory after localisation too
+                    if last_r.map_or(true, |prev| r > prev + refractory) {
+                        last_r = Some(r);
+                        self.beats_detected.inc();
+                        on_r(r);
+                    }
                 }
             }
         }
-        None
+        self.bp_state = [
+            BiquadState { s1: p1, s2: p2 },
+            BiquadState { s1: q1, s2: q2 },
+        ];
+        self.bp_hist = [h0, h1, h2, h3, h4];
+        self.mwi_hist = [m0, m1, m2];
+        (self.mwi_sum, self.mwi_pos) = (mwi_sum, mwi_pos);
+        (self.spki, self.npki) = (spki, npki);
+        (self.last_r, self.pending) = (last_r, pending);
+        self.sample_idx = idx;
     }
 
     /// Captures every mutable field of the detector — filter registers,
@@ -196,7 +256,7 @@ impl OnlinePanTompkins {
     #[must_use]
     pub fn snapshot(&self) -> PanTompkinsState {
         PanTompkinsState {
-            sections: self.sections.iter().map(StatefulBiquad::snapshot).collect(),
+            sections: self.bp_state.to_vec(),
             bp_hist: self.bp_hist,
             mwi_buf: self.mwi_buf.clone(),
             mwi_pos: self.mwi_pos,
@@ -220,7 +280,10 @@ impl OnlinePanTompkins {
     /// # Errors
     ///
     /// [`EcgError::InvalidParameter`] when a snapshot buffer length does
-    /// not match this detector's shape (different `fs`).
+    /// not match this detector's shape (different `fs`), or when its
+    /// clock is inconsistent: warm-up ending before the first 2 s, or a
+    /// pending candidate or last R at or past `sample_idx`. The detector
+    /// is untouched on error.
     pub fn restore(&mut self, state: &PanTompkinsState) -> Result<(), EcgError> {
         if state.sections.len() != self.sections.len()
             || state.mwi_buf.len() != self.mwi_buf.len()
@@ -233,9 +296,23 @@ impl OnlinePanTompkins {
                 constraint: "shape must match the detector's sampling rate",
             });
         }
-        for (s, st) in self.sections.iter_mut().zip(&state.sections) {
-            s.restore(st);
+        // A live detector never ends warm-up before its first 2 s, and
+        // every candidate or apex it holds lies behind its clock. A
+        // forged clock would take an MWI peak at sample 0 (`idx − 1`
+        // underflows) or wait on a candidate that never comes due.
+        let behind = |v: Option<usize>| v.map_or(true, |i| i < state.sample_idx);
+        if state.warmup < (2.0 * self.fs) as usize
+            || !behind(state.pending)
+            || !behind(state.last_r)
+        {
+            return Err(EcgError::InvalidParameter {
+                name: "snapshot.sample_idx",
+                value: state.sample_idx as f64,
+                constraint:
+                    "warm-up must cover the first 2 s and pending/last R must precede the clock",
+            });
         }
+        self.bp_state.copy_from_slice(&state.sections);
         self.bp_hist = state.bp_hist;
         self.mwi_buf.copy_from_slice(&state.mwi_buf);
         self.mwi_pos = state.mwi_pos;
@@ -252,13 +329,14 @@ impl OnlinePanTompkins {
     }
 
     /// Finds the raw-signal apex within the window preceding the MWI
-    /// peak, compensating the causal chain delay.
-    fn localize_apex(&self, mwi_peak_idx: usize) -> usize {
+    /// peak, compensating the causal chain delay. `seen` is the number of
+    /// samples pushed so far, the newest one included.
+    fn localize_apex(&self, mwi_peak_idx: usize, seen: usize) -> usize {
         let ring_len = self.raw_ring.len();
         let back = self.mwi_buf.len() + (0.10 * self.fs) as usize;
         let lo = mwi_peak_idx.saturating_sub(back);
-        let hi = (mwi_peak_idx + (0.05 * self.fs) as usize).min(self.sample_idx - 1);
-        let lo = lo.max(self.sample_idx.saturating_sub(ring_len));
+        let hi = (mwi_peak_idx + (0.05 * self.fs) as usize).min(seen - 1);
+        let lo = lo.max(seen.saturating_sub(ring_len));
         let mut best = (lo, f64::MIN);
         for i in lo..=hi {
             let v = self.raw_ring[i % ring_len];

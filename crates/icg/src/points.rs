@@ -22,12 +22,22 @@
 //! initial estimate when the window contains no qualifying extremum —
 //! without the bound, the smooth flanks of low-noise beats would let the
 //! search run far from the landmark.
+//!
+//! Detection does not allocate: every strategy smooths the segment and
+//! takes its derivatives into one per-thread workspace, computing
+//! d1 → d2 → d3 once by successive [`diff::derivative_into`] calls
+//! (bitwise `diff::third_derivative` of the smoothed segment), and the
+//! B0 line fit reuses the same workspace. The batch pipeline and the
+//! streaming delineator run this one detector, so both gain.
+
+use std::cell::RefCell;
 
 use crate::strategy::{DelineationStrategy, StrategyState};
 use crate::IcgError;
 use cardiotouch_dsp::diff;
 use cardiotouch_dsp::peaks;
 use cardiotouch_dsp::stats::LineFit;
+use cardiotouch_dsp::DspError;
 
 /// Strategy for locating the initial X estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,16 +220,25 @@ impl PointDetector {
         icg: &[f64],
         state: &mut StrategyState,
     ) -> Result<CharacteristicPoints, IcgError> {
-        match self.strategy {
-            DelineationStrategy::Classic => self.detect_classic(icg),
-            DelineationStrategy::ReBeatIcg => self.detect_rebeat(icg),
-            DelineationStrategy::WeightedWindowB => self.detect_weighted(icg, state, false),
-            DelineationStrategy::Hybrid => self.detect_weighted(icg, state, true),
-        }
+        DETECT_WORK.with(|work| {
+            let work = &mut work.borrow_mut();
+            match self.strategy {
+                DelineationStrategy::Classic => self.detect_classic(icg, work),
+                DelineationStrategy::ReBeatIcg => self.detect_rebeat(icg, work),
+                DelineationStrategy::WeightedWindowB => {
+                    self.detect_weighted(icg, state, false, work)
+                }
+                DelineationStrategy::Hybrid => self.detect_weighted(icg, state, true, work),
+            }
+        })
     }
 
     /// The source paper's rule set (strategy [`DelineationStrategy::Classic`]).
-    fn detect_classic(&self, icg: &[f64]) -> Result<CharacteristicPoints, IcgError> {
+    fn detect_classic(
+        &self,
+        icg: &[f64],
+        work: &mut DetectWork,
+    ) -> Result<CharacteristicPoints, IcgError> {
         let min_len = (0.3 * self.fs) as usize;
         if icg.len() < min_len {
             return Err(IcgError::BeatTooShort {
@@ -251,38 +270,11 @@ impl PointDetector {
         // on a lightly binomial-smoothed copy (a standard precaution in
         // ICG point detectors); amplitudes and extrema searches above use
         // the signal as given.
-        let smoothed = binomial_smooth(icg);
-        let d1 = diff::derivative(&smoothed, self.fs)?;
-        let d2 = diff::second_derivative(&smoothed, self.fs)?;
-        let d3 = diff::third_derivative(&smoothed, self.fs)?;
+        work.derivatives(icg, self.fs)?;
+        let (d1, d2, d3) = (&work.d1[..], &work.d2[..], &work.d3[..]);
 
         // --- B0: 40-80 % line fit -----------------------------------------
-        // Walk the rising edge leftward from C, collecting contiguous
-        // samples between the two amplitude thresholds.
-        let mut xs: Vec<f64> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
-        let mut i = c;
-        while i > 0 {
-            let v = icg[i];
-            if v < 0.4 * amp_c {
-                break;
-            }
-            if v <= 0.8 * amp_c {
-                xs.push(i as f64);
-                ys.push(v);
-            }
-            i -= 1;
-        }
-        let edge_floor = i; // last index inspected (below 40 %)
-        let b0 = if xs.len() >= 2 {
-            LineFit::fit(&xs, &ys)
-                .ok()
-                .and_then(|f| f.x_intercept())
-                .filter(|&v| v.is_finite() && v >= 0.0 && v < c as f64)
-                .unwrap_or(edge_floor as f64)
-        } else {
-            edge_floor as f64
-        };
+        let b0 = line_fit_b0(icg, c, &mut work.xs, &mut work.ys);
         let b0_idx = (b0.round() as usize).min(c.saturating_sub(1));
 
         // --- B refinement ---------------------------------------------------
@@ -295,12 +287,12 @@ impl PointDetector {
         let pattern_lo = b0_idx.saturating_sub(2 * b_window);
         let has_pattern = peaks::has_sign_pattern(&d2[pattern_lo..=c], &[true, false, true, false]);
         let (mut b, mut b_rule) = if has_pattern {
-            match first_local_min_left_within(&d3, b_start, b_window) {
+            match first_local_min_left_within(d3, b_start, b_window) {
                 Some(idx) => (idx, BRule::ThirdDerivativeMinimum),
                 None => (b0_idx, BRule::LineFitIntercept),
             }
         } else {
-            match first_zero_crossing_left_within(&d1, b_start, b_window) {
+            match first_zero_crossing_left_within(d1, b_start, b_window) {
                 Some(idx) => (idx, BRule::FirstDerivativeZeroCrossing),
                 None => (b0_idx, BRule::LineFitIntercept),
             }
@@ -308,7 +300,7 @@ impl PointDetector {
         // If the pattern rule found nothing, try the zero-crossing rule
         // before settling on B0.
         if b_rule == BRule::LineFitIntercept {
-            if let Some(idx) = first_zero_crossing_left_within(&d1, b_start, b_window) {
+            if let Some(idx) = first_zero_crossing_left_within(d1, b_start, b_window) {
                 b = idx;
                 b_rule = BRule::FirstDerivativeZeroCrossing;
             }
@@ -353,7 +345,7 @@ impl PointDetector {
 
         // --- X refinement ------------------------------------------------------
         let x_window = (self.x_refine_window_s * self.fs) as usize;
-        let x = first_local_min_left_within(&d3, x0, x_window)
+        let x = first_local_min_left_within(d3, x0, x_window)
             .filter(|&idx| idx > c)
             .unwrap_or(x0);
 
@@ -435,26 +427,29 @@ impl PointDetector {
     /// zero-crossing and max-curvature fallbacks) → bounded-trough X.
     /// Once a positive C wave exists, B and X always resolve — the
     /// layered fallbacks are the point of the algorithm.
-    fn detect_rebeat(&self, icg: &[f64]) -> Result<CharacteristicPoints, IcgError> {
+    fn detect_rebeat(
+        &self,
+        icg: &[f64],
+        work: &mut DetectWork,
+    ) -> Result<CharacteristicPoints, IcgError> {
         self.check_len(icg)?;
         let c = self.find_c(icg)?;
-        let smoothed = binomial_smooth(icg);
+        work.derivatives(icg, self.fs)?;
+        let smoothed = &work.smoothed[..];
         let notch_window = (self.b_notch_window_s * self.fs) as usize;
-        let (b, b_rule) = if let Some(idx) = first_local_min_left_within(&smoothed, c, notch_window)
+        let (b, b_rule) = if let Some(idx) = first_local_min_left_within(smoothed, c, notch_window)
         {
             (idx, BRule::SignalNotchMinimum)
-        } else if let Some(idx) = first_zero_crossing_left_within(&smoothed, c, notch_window) {
+        } else if let Some(idx) = first_zero_crossing_left_within(smoothed, c, notch_window) {
             (idx, BRule::SignalZeroCrossing)
         } else {
             // Maximum curvature on the rising edge: always defined.
-            let d2 = diff::second_derivative(&smoothed, self.fs)?;
             let lo = c.saturating_sub(notch_window).max(1);
-            let idx = lo + peaks::argmax(&d2[lo..c.max(lo + 1)]).unwrap_or(0);
+            let idx = lo + peaks::argmax(&work.d2[lo..c.max(lo + 1)]).unwrap_or(0);
             (idx, BRule::CurvatureMaximum)
         };
         let b = b.min(c.saturating_sub(1));
-        let d3 = diff::third_derivative(&smoothed, self.fs)?;
-        let x = self.x_rebeat(icg, c, &d3)?;
+        let x = self.x_rebeat(icg, c, &work.d3)?;
         Ok(CharacteristicPoints {
             b,
             c,
@@ -479,40 +474,16 @@ impl PointDetector {
         icg: &[f64],
         state: &mut StrategyState,
         rebeat_cx: bool,
+        work: &mut DetectWork,
     ) -> Result<CharacteristicPoints, IcgError> {
         self.check_len(icg)?;
         let c = self.find_c(icg)?;
-        let amp_c = icg[c];
-        let smoothed = binomial_smooth(icg);
-        let d1 = diff::derivative(&smoothed, self.fs)?;
-        let d3 = diff::third_derivative(&smoothed, self.fs)?;
+        work.derivatives(icg, self.fs)?;
+        let (d1, d3) = (&work.d1[..], &work.d3[..]);
 
         // Line-fit B0 (same construction as Classic): the first-beat
         // seed of the weighted window.
-        let mut xs: Vec<f64> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
-        let mut i = c;
-        while i > 0 {
-            let v = icg[i];
-            if v < 0.4 * amp_c {
-                break;
-            }
-            if v <= 0.8 * amp_c {
-                xs.push(i as f64);
-                ys.push(v);
-            }
-            i -= 1;
-        }
-        let edge_floor = i;
-        let b0 = if xs.len() >= 2 {
-            LineFit::fit(&xs, &ys)
-                .ok()
-                .and_then(|f| f.x_intercept())
-                .filter(|&v| v.is_finite() && v >= 0.0 && v < c as f64)
-                .unwrap_or(edge_floor as f64)
-        } else {
-            edge_floor as f64
-        };
+        let b0 = line_fit_b0(icg, c, &mut work.xs, &mut work.ys);
 
         // Per-beat anchor for the expected-B prior: the Classic-style
         // leftward refinement from the line-fit foot. The raw intercept
@@ -527,8 +498,8 @@ impl PointDetector {
             let b_window = (self.b_refine_window_s * self.fs) as usize;
             let b0_idx = (b0.round() as usize).min(c.saturating_sub(1));
             let b_start = (b0_idx + 2).min(c.saturating_sub(1));
-            first_local_min_left_within(&d3, b_start, b_window)
-                .or_else(|| first_zero_crossing_left_within(&d1, b_start, b_window))
+            first_local_min_left_within(d3, b_start, b_window)
+                .or_else(|| first_zero_crossing_left_within(d1, b_start, b_window))
                 .map_or(b0, |idx| idx as f64)
         };
         // 3:1 EMA:anchor — enough anchor that a biased prior mean-
@@ -539,10 +510,10 @@ impl PointDetector {
         } else {
             seed
         };
-        let (b, b_rule) = self.weighted_b(c, &d1, &d3, b0, pred);
+        let (b, b_rule) = self.weighted_b(c, d1, d3, b0, pred);
 
         let x = if rebeat_cx {
-            self.x_rebeat(icg, c, &d3)?
+            self.x_rebeat(icg, c, d3)?
         } else {
             // Classic X: global negative trough + third-derivative onset.
             let x_bound = c + 1 + (0.30 * self.fs) as usize;
@@ -576,7 +547,7 @@ impl PointDetector {
                 });
             }
             let x_window = (self.x_refine_window_s * self.fs) as usize;
-            first_local_min_left_within(&d3, x0, x_window)
+            first_local_min_left_within(d3, x0, x_window)
                 .filter(|&idx| idx > c)
                 .unwrap_or(x0)
         };
@@ -709,14 +680,110 @@ impl PointDetector {
     }
 }
 
+/// Per-beat detection workspace: the smoothed segment, its first three
+/// derivatives and the B0 line-fit points. Pure workspace, reused by
+/// every beat a thread delineates, so detection never allocates once the
+/// buffers have grown to the longest beat.
+struct DetectWork {
+    smoothed: Vec<f64>,
+    d1: Vec<f64>,
+    d2: Vec<f64>,
+    d3: Vec<f64>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+thread_local! {
+    static DETECT_WORK: RefCell<DetectWork> = const {
+        RefCell::new(DetectWork {
+            smoothed: Vec::new(),
+            d1: Vec::new(),
+            d2: Vec::new(),
+            d3: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+        })
+    };
+}
+
+impl DetectWork {
+    /// Smooths `icg` (one [`binomial_smooth_into`] pass) and fills `d1`,
+    /// `d2`, `d3` from it by successive [`diff::derivative_into`] calls —
+    /// bitwise `diff::{derivative, second_derivative,
+    /// third_derivative}` of the smoothed segment, each computed once.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::InputTooShort`] for a segment under 4 samples, as
+    /// [`diff::third_derivative`] reports it.
+    fn derivatives(&mut self, icg: &[f64], fs: f64) -> Result<(), IcgError> {
+        if icg.len() < 4 {
+            return Err(DspError::InputTooShort {
+                len: icg.len(),
+                min_len: 4,
+            }
+            .into());
+        }
+        binomial_smooth_into(icg, &mut self.smoothed);
+        diff::derivative_into(&self.smoothed, fs, &mut self.d1)?;
+        diff::derivative_into(&self.d1, fs, &mut self.d2)?;
+        diff::derivative_into(&self.d2, fs, &mut self.d3)?;
+        Ok(())
+    }
+}
+
 /// One pass of 5-point binomial smoothing `[1, 4, 6, 4, 1] / 16` with
-/// replicated edges.
-fn binomial_smooth(x: &[f64]) -> Vec<f64> {
+/// replicated edges, written into `out` (cleared first). Only the two
+/// samples at each end read a clamped index; the interior runs over
+/// `windows(5)`.
+fn binomial_smooth_into(x: &[f64], out: &mut Vec<f64>) {
     let n = x.len();
     let at = |i: isize| -> f64 { x[i.clamp(0, n as isize - 1) as usize] };
-    (0..n as isize)
-        .map(|i| (at(i - 2) + 4.0 * at(i - 1) + 6.0 * at(i) + 4.0 * at(i + 1) + at(i + 2)) / 16.0)
-        .collect()
+    let edge = |i: usize| {
+        let i = i as isize;
+        (at(i - 2) + 4.0 * at(i - 1) + 6.0 * at(i) + 4.0 * at(i + 1) + at(i + 2)) / 16.0
+    };
+    out.clear();
+    out.extend((0..n.min(2)).map(edge));
+    out.extend(
+        x.windows(5)
+            .map(|w| (w[0] + 4.0 * w[1] + 6.0 * w[2] + 4.0 * w[3] + w[4]) / 16.0),
+    );
+    let done = out.len();
+    out.extend((done..n).map(edge));
+}
+
+/// The initial B estimate B0: the x-axis intercept of the least-squares
+/// line through the rising-edge samples between 40 % and 80 % of the C
+/// amplitude, walking left from C over one contiguous run. Falls back to
+/// the last index inspected (below 40 %) when the fit is degenerate or
+/// its intercept leaves `[0, c)`. `xs`/`ys` are workspace.
+fn line_fit_b0(icg: &[f64], c: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) -> f64 {
+    let amp_c = icg[c];
+    xs.clear();
+    ys.clear();
+    let mut i = c;
+    while i > 0 {
+        let v = icg[i];
+        if v < 0.4 * amp_c {
+            break;
+        }
+        if v <= 0.8 * amp_c {
+            xs.push(i as f64);
+            ys.push(v);
+        }
+        i -= 1;
+    }
+    let edge_floor = i; // last index inspected (below 40 %)
+    if xs.len() >= 2 {
+        LineFit::fit(xs, ys)
+            .ok()
+            .and_then(|f| f.x_intercept())
+            .filter(|&v| v.is_finite() && v >= 0.0 && v < c as f64)
+            .unwrap_or(edge_floor as f64)
+    } else {
+        edge_floor as f64
+    }
 }
 
 /// First strict local minimum of `x` scanning left from `start`, not
@@ -749,6 +816,9 @@ fn first_zero_crossing_left_within(x: &[f64], start: usize, window: usize) -> Op
     }
     None
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
