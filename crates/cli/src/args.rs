@@ -153,8 +153,10 @@ USAGE:
 Conformance: runs the pinned corpus through the batch pipeline and
 both streaming engines, asserts the tolerance bands, checks the
 committed golden vectors under --golden (default conformance/golden;
---write-golden regenerates them instead) and prints the accuracy
-snapshot (--acc-out saves it in the committed ACC_*.json format).
+--write-golden regenerates them instead), prints the accuracy
+snapshot (--acc-out saves it in the committed ACC_*.json format), then
+streams the clean corpus in 1 s pushes and prints its beat emission
+lag and its accuracy against truth.
 
 Metrics: --metrics-out writes a point-in-time observability snapshot
 (counters, gauges, latency histograms) as JSON; `-` writes to stdout.

@@ -160,16 +160,16 @@ fn recover_fleet(
 }
 
 /// The conformance suite as a CLI verb: differential engines over the
-/// pinned corpus, golden drift check (or regeneration) and the
-/// accuracy snapshot — the same layers CI gates on, runnable locally
-/// in one command.
+/// pinned corpus, golden drift check (or regeneration), the accuracy
+/// snapshot and the streamed corpus's lag and accuracy — the same
+/// layers CI gates on, runnable locally in one command.
 fn run_conformance(
     golden_dir: Option<&str>,
     write_golden: bool,
     acc_out: Option<&str>,
     delineation: Option<DelineationStrategy>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    use cardiotouch_conformance::{accuracy, corpus, differential, golden, replay};
+    use cardiotouch_conformance::{accuracy, corpus, differential, golden, latency, replay};
     use std::path::Path;
 
     let strategy = delineation.unwrap_or_default();
@@ -301,6 +301,33 @@ fn run_conformance(
         acc.lvet.bias * 1e3,
         acc.pep.bias * 1e3,
         acc.hr.bias
+    );
+
+    // 5. The clean corpus streamed in 1 s pushes: when beats reach the
+    //    caller, and how close they are to truth.
+    let lat = latency::run_corpus(&corpus::clean_corpus(), strategy)?;
+    let s = |samples: usize| samples as f64 / lat.fs;
+    println!(
+        "stream ({}, 1 s pushes): {} clean cases, {} beats, emission lag min {:.2} s, \
+         p50 {:.2} s, max {:.2} s",
+        lat.strategy.name(),
+        lat.cases.len(),
+        lat.lag.beats,
+        s(lat.lag.min),
+        s(lat.lag.p50),
+        s(lat.lag.max)
+    );
+    println!(
+        "  vs truth ({} s in to {} s before the end): detection {:.4} ({}/{} beats), \
+         p95 |offset| B {:.1} ms, C {:.1} ms, X {:.1} ms",
+        latency::SCORE_START_S,
+        latency::SCORE_END_MARGIN_S,
+        lat.detection_rate,
+        lat.matched_beats,
+        lat.truth_beats,
+        lat.b.p95_abs_ms,
+        lat.c.p95_abs_ms,
+        lat.x.p95_abs_ms
     );
     if let Some(path) = acc_out {
         if path == "-" {

@@ -182,7 +182,7 @@ impl Thresholds {
     }
 }
 
-fn stats_ms(offsets: &[f64]) -> LandmarkErrorStats {
+pub(crate) fn stats_ms(offsets: &[f64]) -> LandmarkErrorStats {
     let n = offsets.len();
     if n == 0 {
         return LandmarkErrorStats {

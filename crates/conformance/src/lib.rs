@@ -20,6 +20,9 @@
 //! * [`accuracy`] — per-landmark error statistics and LVET/PEP/HR
 //!   Bland–Altman agreement against ground truth, emitted as committed
 //!   `ACC_<date>.json` and gated in CI by the `accuracy_check` binary;
+//! * [`latency`] — the clean corpus streamed in 1 s pushes: each
+//!   case's beat emission lag, and the stream's accuracy against truth
+//!   held to the batch snapshot's absolute floors;
 //! * [`replay`] — the corpus multiplexed onto the encoded wire: the
 //!   clean wire must match the in-memory vector path bitwise, and
 //!   replaying the append-only ingest log (clean *and* lossy) must
@@ -41,6 +44,7 @@ pub mod accuracy;
 pub mod corpus;
 pub mod differential;
 pub mod golden;
+pub mod latency;
 pub mod recovery;
 pub mod replay;
 

@@ -297,7 +297,9 @@ enum ShardCmd {
     /// checkpoint. Answered with [`ShardEvent::WireSnapshotted`].
     WireSnapshot,
     /// Reopen a wire session from serialized snapshot bytes (restart
-    /// recovery); empty bytes open a fresh stream.
+    /// recovery); empty bytes open a fresh stream. Answered only on
+    /// failure, with [`ShardEvent::WireRestoreFailed`], which the next
+    /// `quiesce` barrier turns into an error.
     WireRestore {
         session: u32,
         snapshot_bytes: Vec<u8>,
@@ -342,6 +344,11 @@ enum ShardEvent {
     Synced {
         shard: usize,
         token: u64,
+    },
+    /// A `WireRestore` whose snapshot failed to decode or restore; the
+    /// session was not reopened.
+    WireRestoreFailed {
+        reason: String,
     },
     /// Posted by the spawn wrapper when the worker panicked; the
     /// supervisor marks the shard down and refuses further traffic to
@@ -511,14 +518,24 @@ fn shard_main(
                 snapshot_bytes,
             } => {
                 let stream = if snapshot_bytes.is_empty() {
-                    BeatStream::new(config).ok()
+                    BeatStream::new(config)
                 } else {
                     BeatStreamSnapshot::from_bytes(&snapshot_bytes)
                         .and_then(|snap| BeatStream::restore(config, &snap))
-                        .ok()
                 };
-                if let Some(stream) = stream {
-                    wire.insert(session, (stream, Vec::new()));
+                match stream {
+                    Ok(stream) => {
+                        wire.insert(session, (stream, Vec::new()));
+                    }
+                    Err(e) => {
+                        let reason = format!("session {session} restore: {e}");
+                        if events
+                            .send(ShardEvent::WireRestoreFailed { reason })
+                            .is_err()
+                        {
+                            return;
+                        }
+                    }
                 }
             }
             ShardCmd::InjectPanic => panic!("injected shard fault (chaos harness)"),
@@ -1216,8 +1233,9 @@ impl Fleet {
     /// # Errors
     ///
     /// * [`Fleet::new`]'s construction surface;
-    /// * [`CoreError::RecoveryFailed`] for an unusable snapshot or a
-    ///   watermark below the oldest retained segment.
+    /// * [`CoreError::RecoveryFailed`] naming the session for an
+    ///   unusable snapshot, or for a watermark below the oldest retained
+    ///   segment.
     pub fn recover(
         config: PipelineConfig,
         shards: usize,
@@ -1255,6 +1273,9 @@ impl Fleet {
         for frame in &suffix {
             fleet.wire_replay_frame(frame);
         }
+        // The shards restore in parallel with the replay; the barrier
+        // surfaces any session whose snapshot they could not restore.
+        fleet.quiesce()?;
         Ok(fleet)
     }
 
@@ -1484,7 +1505,9 @@ impl Fleet {
     /// Re-synchronizes the solicited protocol after an aborted
     /// exchange: a `Sync` barrier to every live shard, discarding
     /// everything queued ahead of each echo (replies to requests the
-    /// crash abandoned).
+    /// crash abandoned). A session restore that failed ahead of the
+    /// echo fails the barrier with [`CoreError::RecoveryFailed`] once
+    /// every echo is in.
     fn quiesce(&mut self) -> Result<(), CoreError> {
         self.sync_token += 1;
         let token = self.sync_token;
@@ -1499,11 +1522,15 @@ impl Fleet {
             pending[i] = true;
         }
         let mut remaining = live.len();
+        let mut failed = None;
         while remaining > 0 {
             match self.recv_event()? {
                 ShardEvent::Synced { shard, token: t } if t == token && pending[shard] => {
                     pending[shard] = false;
                     remaining -= 1;
+                }
+                ShardEvent::WireRestoreFailed { reason } => {
+                    failed.get_or_insert(reason);
                 }
                 // Stale replies to an exchange the crash abandoned.
                 // Beats inside them are real emissions — salvage them
@@ -1528,7 +1555,10 @@ impl Fleet {
                 _ => {}
             }
         }
-        Ok(())
+        match failed {
+            Some(reason) => Err(CoreError::RecoveryFailed { reason }),
+            None => Ok(()),
+        }
     }
 
     /// Replaces a down shard's worker with a fresh incarnation and
@@ -1544,7 +1574,8 @@ impl Fleet {
     /// * [`CoreError::ShardDown`] if *another* shard went down while
     ///   re-synchronizing (restart that one too, then retry);
     /// * [`CoreError::RecoveryFailed`] when the log suffix below the
-    ///   checkpoint watermark is gone (over-compacted).
+    ///   checkpoint watermark is gone (over-compacted), or naming the
+    ///   session whose checkpointed snapshot does not restore.
     pub fn restart_shard(&mut self, shard: usize) -> Result<(), CoreError> {
         if shard >= self.shards() {
             return Err(CoreError::InvalidParameter {
@@ -1579,7 +1610,8 @@ impl Fleet {
         self.occupancy[shard] = 0;
         self.restarts.inc();
         self.quiesce()?;
-        self.restore_wire_sessions(shard)
+        self.restore_wire_sessions(shard)?;
+        self.quiesce()
     }
 
     /// Re-creates the restarted shard's wire sessions: engine snapshots
@@ -2088,6 +2120,59 @@ mod tests {
                 "session {} diverged across process restart",
                 tail.session
             );
+        }
+    }
+
+    #[test]
+    fn restart_refuses_an_unusable_checkpointed_snapshot() {
+        use cardiotouch_ingest::SessionEncoder;
+
+        let config = PipelineConfig::paper_default(250.0);
+        let (ecg, z) = templates();
+        let mut encoders: Vec<SessionEncoder> = (0..4).map(SessionEncoder::new).collect();
+        let mut fleet = Fleet::new(config, 2, 64).unwrap();
+        fleet.wire_enable_durable(SegmentPolicy {
+            max_bytes: 16 * 1024,
+            max_frames: 32,
+        });
+        for s in 0..4 {
+            fleet.wire_admit(s).unwrap();
+        }
+        for s in 0..3 {
+            let mut buf = Vec::new();
+            for (i, enc) in encoders.iter_mut().enumerate() {
+                let off = i * 977 + s * 250;
+                enc.push_frame(&ecg[off..off + 250], &z[off..off + 250], &mut buf)
+                    .unwrap();
+            }
+            fleet.wire_push(&buf);
+        }
+        fleet.checkpoint().unwrap();
+        // Only a forged in-memory checkpoint reaches this path: every
+        // sealed or recovered one has restored once already.
+        let victim = *fleet
+            .wire_routing
+            .iter()
+            .find(|&(_, &shard)| shard == 0)
+            .expect("shard 0 owns a session")
+            .0;
+        let ckpt = fleet.last_ckpt.as_mut().unwrap();
+        let entry = ckpt
+            .sessions
+            .iter_mut()
+            .find(|s| s.session == victim)
+            .unwrap();
+        entry.snapshot.truncate(entry.snapshot.len() / 2);
+        fleet.inject_shard_panic(0);
+        assert!(matches!(
+            fleet.checkpoint(),
+            Err(CoreError::ShardDown { shard: 0 })
+        ));
+        match fleet.restart_shard(0) {
+            Err(CoreError::RecoveryFailed { reason }) => {
+                assert!(reason.contains(&format!("session {victim} ")), "{reason}");
+            }
+            other => panic!("expected RecoveryFailed, got {other:?}"),
         }
     }
 

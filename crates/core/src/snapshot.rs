@@ -34,10 +34,13 @@ use crate::CoreError;
 
 /// Wire-format magic: `b"CTSS"` (CardioTouch Stream Snapshot).
 const MAGIC: u32 = 0x4354_5353;
-/// Wire-format version; bump on any layout change. v2 added the
-/// delineation [`StrategyState`] (adaptive R→B prior) to the
-/// delineator block.
-const VERSION: u16 = 2;
+/// Wire-format version; bump on any layout or meaning change. v2 added
+/// the delineation [`StrategyState`] (adaptive R→B prior) to the
+/// delineator block. v3 keeps the v2 layout, but its ICG zero-phase
+/// states belong to the hop-aligned block grid and the 0.1 s low-pass
+/// settle, so a v2 state restored into the new chain would resume on
+/// the wrong grid.
+const VERSION: u16 = 3;
 
 /// Mutable state of the per-channel degradation-ladder monitor (see
 /// `DESIGN.md §6d`). Derived thresholds are re-computed from the
@@ -575,5 +578,71 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(BeatStreamSnapshot::from_bytes(&trailing).is_err());
+    }
+
+    /// A stream one hop in, its snapshot encoded.
+    fn one_hop_bytes() -> Vec<u8> {
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
+        let e: Vec<f64> = (0..300).map(|i| (f64::from(i) * 0.37).sin()).collect();
+        let z: Vec<f64> = (0..300)
+            .map(|i| 470.0 + (f64::from(i) * 0.11).cos())
+            .collect();
+        stream.push(&e, &z).unwrap();
+        stream.snapshot().to_bytes()
+    }
+
+    #[test]
+    fn previous_version_is_refused() {
+        let mut bytes = one_hop_bytes();
+        for old in [1u16, 2] {
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                BeatStreamSnapshot::from_bytes(&bytes),
+                Err(CoreError::InvalidParameter {
+                    name: "snapshot_bytes",
+                    constraint: "unsupported snapshot version",
+                    ..
+                })
+            ));
+        }
+        bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        assert!(BeatStreamSnapshot::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn zero_phase_geometry_off_the_aligned_grid_is_refused() {
+        let config = PipelineConfig::paper_default(250.0);
+        let snap = BeatStreamSnapshot::from_bytes(&one_hop_bytes()).unwrap();
+        // One hop in, both stages have run their shortened first block
+        // (LP 124 samples, HP 99): nothing pending, tails within settle.
+        assert!(snap.lp.primed && snap.hp.primed);
+        assert_eq!((snap.lp.pending.len(), snap.hp.pending.len()), (0, 0));
+        assert_eq!((snap.lp.tail.len(), snap.hp.tail.len()), (25, 224));
+        let restore = |snap: &BeatStreamSnapshot| {
+            let bytes = snap.to_bytes();
+            BeatStream::restore(config, &BeatStreamSnapshot::from_bytes(&bytes).unwrap())
+        };
+        assert!(restore(&snap).is_ok());
+
+        // An unprimed stage may hold less than its first block, never a
+        // whole one.
+        for (lp, first) in [(true, 124), (false, 99)] {
+            let mut forged = snap.clone();
+            let stage = if lp { &mut forged.lp } else { &mut forged.hp };
+            stage.primed = false;
+            stage.tail.clear();
+            stage.pending = vec![0.0; first - 1];
+            assert!(restore(&forged).is_ok(), "lp={lp}");
+            let stage = if lp { &mut forged.lp } else { &mut forged.hp };
+            stage.pending.push(0.0);
+            assert!(
+                matches!(restore(&forged), Err(CoreError::Dsp(_))),
+                "lp={lp}: a whole first block pending"
+            );
+        }
+        // The LP tail is bounded by its 0.1 s settle.
+        let mut forged = snap;
+        forged.lp.tail.push(0.0);
+        assert!(matches!(restore(&forged), Err(CoreError::Dsp(_))));
     }
 }

@@ -438,10 +438,20 @@ impl BeatStream {
         let hop = fs as usize;
         // The zero-phase stages mirror the batch conditioner's designs
         // (shared via the design cache) and edge extensions. Settle
-        // margins: the 20 Hz low-pass transient dies in tens of samples
-        // (0.5 s is ~24 time constants); the 0.4 Hz high-pass rings for
-        // ~0.56 s, so 2 s of right context leaves ~1% residual — well
-        // inside the B/X detection tolerances.
+        // margins: the 4th-order 20 Hz low-pass has a time constant of
+        // ~5 samples, so 0.1 s (25 samples at 250 Hz, ~4.8 τ) leaves
+        // ~0.8 % residual; the 0.4 Hz high-pass rings for ~0.56 s, so 2 s
+        // of right context leaves ~1 % residual — well inside the B/X
+        // detection tolerances.
+        //
+        // Both stages' block grids are aligned to the hop: the derivative
+        // delays the LP input by one sample, and the LP's settle delays
+        // the HP input further, so without alignment each block would
+        // complete just after the hop ends and wait a whole hop. Aligned
+        // (and with a hop of two whole blocks), the conditioned ICG at
+        // every hop end reaches exactly `LATENCY + lp_settle + hp_settle`
+        // samples behind the input: 526 at 250 Hz.
+        let lp_settle = (0.1 * fs) as usize;
         let lp_filter = design_cache::butterworth_lowpass(IcgConditioner::DEFAULT_ORDER, 20.0, fs)
             .map_err(cardiotouch_icg::IcgError::from)?;
         let hp_filter = design_cache::butterworth_highpass(2, IcgConditioner::HIGHPASS_HZ, fs)
@@ -471,16 +481,18 @@ impl BeatStream {
             deriv: StreamingDerivative::new(fs),
             lp: StreamingZeroPhase::new(
                 lp_filter,
-                (0.5 * fs) as usize,
+                lp_settle,
                 3 * 6 * (IcgConditioner::DEFAULT_ORDER + 1),
                 block,
-            ),
+            )
+            .aligned_to(StreamingDerivative::LATENCY),
             hp: StreamingZeroPhase::new(
                 hp_filter,
                 (2.0 * fs) as usize,
                 (fs / IcgConditioner::HIGHPASS_HZ) as usize,
                 block,
-            ),
+            )
+            .aligned_to(StreamingDerivative::LATENCY + lp_settle),
             neg_buf: Vec::new(),
             lp_buf: Vec::new(),
             hp_buf: Vec::new(),

@@ -202,6 +202,9 @@ pub struct StreamingDerivative {
 }
 
 impl StreamingDerivative {
+    /// Output latency in samples: pushing `x[n]` yields `y[n − LATENCY]`.
+    pub const LATENCY: usize = 1;
+
     /// Creates the kernel for sampling rate `fs`.
     #[must_use]
     pub fn new(fs: f64) -> Self {
@@ -277,13 +280,22 @@ pub struct DerivativeState {
 /// point the backward transient has decayed by `exp(−settle / τ)` for a
 /// filter time constant of `τ` samples.
 ///
-/// Input is quantized into fixed `block`-sample units internally:
-/// arbitrary caller chunking is accumulated and processed in exact block
-/// multiples, so the emitted stream after `n` pushed samples is a pure
-/// function of the first `⌊n/block⌋·block` samples — **bitwise chunk-size
-/// invariant** by construction. Per-sample amortized cost is
+/// Input is quantized into `block`-sample units internally: arbitrary
+/// caller chunking is accumulated and processed in whole blocks, so the
+/// emitted stream after `n` pushed samples is a pure function of the
+/// samples up to the last block boundary at or before `n` — **bitwise
+/// chunk-size invariant** by construction. Per-sample amortized cost is
 /// `O(1 + (settle + ext) / block)` — independent of stream length and of
 /// any analysis-window notion upstream.
+///
+/// By default the block boundaries fall on multiples of `block` in the
+/// stage's own input. A stage fed by a delaying upstream (a derivative,
+/// another zero-phase stage) sees its input `delay` samples behind the
+/// caller's clock, so its blocks would complete `delay` samples after the
+/// caller's chunk ends and wait a whole chunk. [`Self::aligned_to`]
+/// shortens the first block after a start or [`Self::reset`] by
+/// `delay mod block` samples instead, so every block ends exactly where
+/// a `block`-multiple of the caller's clock lands in the stage's input.
 ///
 /// Complete blocks are taken two at a time: both are forward-filtered,
 /// and once their forward outputs exist the two backward passes are
@@ -308,6 +320,9 @@ pub struct StreamingZeroPhase {
     ext: usize,
     /// Internal processing quantum in samples.
     block: usize,
+    /// Samples the first block after a start or reset is shortened by
+    /// (`< block`), aligning the grid to an upstream delay.
+    lead: usize,
     /// `true` once the stream-start forward priming has run.
     primed: bool,
 }
@@ -360,7 +375,7 @@ impl StreamingZeroPhase {
     /// pass at stream start and the backward pass at the rolling head
     /// (clamped to the available signal); `block` the internal processing
     /// quantum (worst-case added latency is `settle + block − 1` input
-    /// samples).
+    /// samples; `settle` exactly at every block boundary).
     #[must_use]
     pub fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize) -> Self {
         Self {
@@ -370,13 +385,27 @@ impl StreamingZeroPhase {
             settle: settle.max(1),
             ext,
             block: block.max(1),
+            lead: 0,
             primed: false,
         }
     }
 
+    /// Aligns the block grid to an upstream `delay`: the first block
+    /// after a start or reset is `block − delay mod block` samples long,
+    /// so a caller that pushes in multiples of `block` on its own clock
+    /// — with this stage's input arriving `delay` samples behind that
+    /// clock — completes a block at the end of every such push. The
+    /// output is then exactly `settle` samples behind the input at each
+    /// push end instead of up to `settle + block − 1`.
+    #[must_use]
+    pub fn aligned_to(mut self, delay: usize) -> Self {
+        self.lead = delay % self.block;
+        self
+    }
+
     /// The settle delay in samples: the right-context requirement before
     /// a sample is emitted. Worst-case end-to-end latency adds one block:
-    /// `settle + block − 1`.
+    /// `settle + block − 1`; at a block boundary it is `settle`.
     #[must_use]
     pub fn settle_samples(&self) -> usize {
         self.settle
@@ -386,6 +415,16 @@ impl StreamingZeroPhase {
     #[must_use]
     pub fn block_samples(&self) -> usize {
         self.block
+    }
+
+    /// Length of the next block for a stage that has (`primed`) or has
+    /// not yet run its first block, which the alignment lead shortens.
+    fn next_block(&self, primed: bool) -> usize {
+        if primed {
+            self.block
+        } else {
+            self.block - self.lead
+        }
     }
 
     /// Returns the stage to its start-of-stream state: the forward
@@ -404,51 +443,61 @@ impl StreamingZeroPhase {
     /// Pushes a chunk and appends every newly settled zero-phase output
     /// sample to `out`. Output order across calls is the input order; the
     /// emitted stream lags the input by at most
-    /// `settle_samples() + block_samples() − 1`.
+    /// `settle_samples() + block_samples() − 1`, and by exactly
+    /// `settle_samples()` when the chunk ends on a block boundary.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
         self.pending.extend_from_slice(chunk);
-        let blocks = self.pending.len() / self.block;
-        if blocks == 0 {
+        let first = self.next_block(self.primed);
+        if self.pending.len() < first {
             return;
         }
+        let end = first + (self.pending.len() - first) / self.block * self.block;
         BACKWARD_WORK.with(|work| {
             let work = &mut work.borrow_mut();
-            let mut done = 0;
-            while done < blocks {
-                let count = (blocks - done).min(2);
-                self.process_blocks(done * self.block, count, work, out);
-                done += count;
+            let mut lo = 0;
+            while lo < end {
+                let lens = [self.next_block(self.primed), self.block];
+                let count = if lo + lens[0] < end { 2 } else { 1 };
+                self.process_blocks(lo, &lens[..count], work, out);
+                lo += lens[..count].iter().sum::<usize>();
             }
         });
-        self.pending.drain(..blocks * self.block);
+        self.pending.drain(..end);
     }
 
-    /// Forward-filters `count` (one or two) blocks starting at
+    /// Forward-filters one or two blocks of the given lengths starting at
     /// `pending[lo]` into the tail, runs each block's backward pass —
     /// both in lock-step when their windows have the same length — and
     /// emits the newly settled samples oldest-first.
-    fn process_blocks(&mut self, lo: usize, count: usize, work: &mut Vec<f64>, out: &mut Vec<f64>) {
+    fn process_blocks(
+        &mut self,
+        lo: usize,
+        lens: &[usize],
+        work: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
         if !self.primed {
             // Mimic the batch left edge: run the forward state over an
             // even reflection of the first block so the first real sample
             // is approached from plausible history rather than silence.
-            let ext = self.ext.min(self.block - 1);
+            let ext = self.ext.min(lens[0] - 1);
             for i in (lo + 1..=lo + ext).rev() {
                 let _ = self.forward.push(self.pending[i]);
             }
             self.primed = true;
         }
         let start = self.tail.len();
-        self.tail
-            .extend_from_slice(&self.pending[lo..lo + count * self.block]);
+        let total: usize = lens.iter().sum();
+        self.tail.extend_from_slice(&self.pending[lo..lo + total]);
         self.forward.process_in_place(&mut self.tail[start..]);
 
         // Each block's window is what a block-by-block pass sees: the
         // tail up to the block's end, minus what earlier blocks settled.
         let mut windows = [None; 2];
         let mut drained = 0;
-        for (k, window) in windows.iter_mut().enumerate().take(count) {
-            let hi = start + (k + 1) * self.block;
+        let mut hi = start;
+        for (window, &len) in windows.iter_mut().zip(lens) {
+            hi += len;
             let settled = (hi - drained).saturating_sub(self.settle);
             if settled > 0 {
                 *window = Some(BackwardWindow {
@@ -508,7 +557,8 @@ impl StreamingZeroPhase {
     /// parameters for the resumed stream to be bitwise identical.
     ///
     /// A snapshot taken between two `push_chunk` calls always has
-    /// `pending` shorter than one block, a `tail` of at most `settle`
+    /// `pending` shorter than the next block (the shortened first block
+    /// of an aligned stage before priming), a `tail` of at most `settle`
     /// samples and no tail before priming; anything else is corrupt and
     /// rejected, leaving the stage untouched. Without that bound a forged
     /// tail would make every later block run an arbitrarily long
@@ -517,14 +567,15 @@ impl StreamingZeroPhase {
     /// # Errors
     ///
     /// [`DspError::LengthMismatch`] when the forward-cascade section
-    /// count differs, `pending` holds a whole block or `tail` exceeds the
-    /// settle delay; [`DspError::InvalidParameter`] when an unprimed
-    /// snapshot carries a tail.
+    /// count differs, `pending` holds a whole next block or `tail`
+    /// exceeds the settle delay; [`DspError::InvalidParameter`] when an
+    /// unprimed snapshot carries a tail.
     pub fn restore(&mut self, state: &ZeroPhaseState) -> Result<(), DspError> {
-        if state.pending.len() >= self.block {
+        let next = self.next_block(state.primed);
+        if state.pending.len() >= next {
             return Err(DspError::LengthMismatch {
                 left: state.pending.len(),
-                right: self.block,
+                right: next,
             });
         }
         if state.tail.len() > self.settle {
@@ -805,6 +856,49 @@ mod tests {
     }
 
     #[test]
+    fn aligned_chain_lags_exactly_its_settles_at_every_hop_end() {
+        // The streaming ICG chain: derivative → LP → HP, fed one hop of
+        // two blocks at a time. Aligned, each stage completes a block at
+        // every hop end, so the output trails the input by exactly the
+        // derivative latency plus both settles; unaligned, each stage
+        // waits up to a block more.
+        let lp = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
+        let hp = design_cache::butterworth_highpass(2, 0.4, FS).unwrap();
+        let (hop, block, lp_settle, hp_settle) = (250, 125, 25, 500);
+        let delay = StreamingDerivative::LATENCY;
+        let x = signal(4000);
+        let run = |aligned: bool| {
+            let mut d = StreamingDerivative::new(FS);
+            let mut l = StreamingZeroPhase::new(Arc::clone(&lp), lp_settle, 90, block);
+            let mut h = StreamingZeroPhase::new(Arc::clone(&hp), hp_settle, 625, block);
+            if aligned {
+                l = l.aligned_to(delay);
+                h = h.aligned_to(delay + lp_settle);
+            }
+            let (mut dv, mut lv, mut hv) = (Vec::new(), Vec::new(), Vec::new());
+            let mut lags = Vec::new();
+            for (k, chunk) in x.chunks(hop).enumerate() {
+                dv.clear();
+                dv.extend(chunk.iter().filter_map(|&v| d.push(v)));
+                lv.clear();
+                l.push_chunk(&dv, &mut lv);
+                h.push_chunk(&lv, &mut hv);
+                if k >= 3 {
+                    lags.push((k + 1) * hop - hv.len());
+                }
+            }
+            lags
+        };
+        let aligned = run(true);
+        assert!(aligned
+            .iter()
+            .all(|&lag| lag == delay + lp_settle + hp_settle));
+        // Unaligned, the LP input stops a block short of the hop end
+        // (T − 125 of T − 1) and the HP input two (T − 250 of T − 150).
+        assert!(run(false).iter().all(|&lag| lag == 2 * block + hp_settle));
+    }
+
+    #[test]
     fn history_ring_tracks_absolute_coordinates() {
         let mut r = HistoryRing::new();
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
@@ -896,6 +990,21 @@ mod tests {
         }
         z.restore(&good).unwrap();
         assert_eq!(z.snapshot(), good);
+
+        // Aligned by 12, the first block is 38 samples: an unprimed
+        // stage can hold 37 pending, never 38.
+        let mut aligned =
+            StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block).aligned_to(12);
+        let mut unprimed = aligned.snapshot();
+        unprimed.pending = signal(37);
+        aligned.restore(&unprimed).unwrap();
+        let mut first_block = unprimed.clone();
+        first_block.pending.push(0.0);
+        assert!(aligned.restore(&first_block).is_err());
+        assert_eq!(aligned.snapshot(), unprimed);
+        // Once primed, whole blocks apply again.
+        first_block.primed = true;
+        aligned.restore(&first_block).unwrap();
     }
 
     #[test]

@@ -386,7 +386,9 @@ proptest! {
 /// The block-by-block zero-phase stage as it stood before backward passes
 /// were paired: one backward pass per block, every recursion step through
 /// per-sample `StreamingCascade::push`, and a per-stage scratch buffer.
-/// It is the oracle `StreamingZeroPhase` must match bitwise.
+/// The first block after a start or reset is `lead` samples short, the
+/// grid alignment of `StreamingZeroPhase::aligned_to`. It is the oracle
+/// `StreamingZeroPhase` must match bitwise.
 #[derive(Debug, Clone)]
 struct BlockByBlockZeroPhase {
     forward: StreamingCascade,
@@ -396,12 +398,13 @@ struct BlockByBlockZeroPhase {
     settle: usize,
     ext: usize,
     block: usize,
+    lead: usize,
     scratch: Vec<f64>,
     primed: bool,
 }
 
 impl BlockByBlockZeroPhase {
-    fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize) -> Self {
+    fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize, lead: usize) -> Self {
         Self {
             forward: StreamingCascade::new(Arc::clone(&filter)),
             backward: StreamingCascade::new(filter),
@@ -410,6 +413,7 @@ impl BlockByBlockZeroPhase {
             settle: settle.max(1),
             ext,
             block: block.max(1),
+            lead,
             scratch: Vec::new(),
             primed: false,
         }
@@ -426,10 +430,17 @@ impl BlockByBlockZeroPhase {
     fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
         self.pending.extend_from_slice(chunk);
         let mut consumed = 0;
-        while self.pending.len() - consumed >= self.block {
-            let (lo, hi) = (consumed, consumed + self.block);
-            self.process_block_range(lo, hi, out);
-            consumed = hi;
+        loop {
+            let len = if self.primed {
+                self.block
+            } else {
+                self.block - self.lead
+            };
+            if self.pending.len() - consumed < len {
+                break;
+            }
+            self.process_block_range(consumed, consumed + len, out);
+            consumed += len;
         }
         self.pending.drain(..consumed);
     }
@@ -713,6 +724,8 @@ proptest! {
         ext in 0usize..1500,
         block in 1usize..300,
         unit_block in 0u32..4,
+        first in 1usize..300,
+        wraps in 0usize..3,
         chunks in prop::collection::vec(0usize..700, 1..=12),
         events in prop::collection::vec(0u32..10, 1..=12),
     ) {
@@ -723,9 +736,14 @@ proptest! {
         } else {
             (&x[..], settle, ext, block)
         };
+        // First-block lengths span 1..=block (`block` is the unaligned
+        // grid); the upstream delay may exceed a block.
+        let first = (first - 1) % block + 1;
+        let lead = block - first;
+        let delay = lead + wraps * block;
         let f = icg_design(highpass == 1, order);
-        let fresh = || StreamingZeroPhase::new(Arc::clone(&f), settle, ext, block);
-        let mut oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block);
+        let fresh = || StreamingZeroPhase::new(Arc::clone(&f), settle, ext, block).aligned_to(delay);
+        let mut oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block, lead);
         let mut stage = fresh();
         let (mut want, mut got) = (Vec::new(), Vec::new());
         let mut fed = 0;
@@ -738,8 +756,8 @@ proptest! {
             fed += c;
             prop_assert!(
                 bits(&got) == bits(&want),
-                "k={} fed={} settle={} ext={} block={}: {} vs {} samples",
-                k, fed, settle, ext, block, got.len(), want.len()
+                "k={} fed={} settle={} ext={} block={} lead={}: {} vs {} samples",
+                k, fed, settle, ext, block, lead, got.len(), want.len()
             );
             match events[k % events.len()] {
                 0 => {
@@ -752,7 +770,7 @@ proptest! {
                     prop_assert_eq!(state_bits(&o), state_bits(&s));
                     stage = fresh();
                     stage.restore(&o).unwrap();
-                    oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block);
+                    oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block, lead);
                     oracle.restore(&s);
                 }
                 _ => {}
