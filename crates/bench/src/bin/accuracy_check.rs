@@ -130,7 +130,7 @@ fn main() -> ExitCode {
         let Some(s) = DelineationStrategy::parse(&args[pos + 1]) else {
             eprintln!(
                 "accuracy_check: unknown strategy `{}` \
-                 (expected classic | rebeat | weighted-b | hybrid)",
+                 (expected classic | hybrid)",
                 args[pos + 1]
             );
             return ExitCode::FAILURE;

@@ -7,13 +7,12 @@
 //! statistics. Perf regressions show up as a diff on a committed file
 //! rather than an anecdote.
 //!
-//! Unlike the criterion benches (which need `cargo bench` and print
-//! human-oriented tables), this binary runs in seconds and emits one JSON
-//! document. Arguments: an optional output path (`-` writes to stdout),
-//! `--smoke`, which shrinks every measurement for CI smoke runs (same
-//! schema, noisier numbers), `--metrics`, which additionally prints the
-//! embedded observability snapshot to stderr, and `--faults`, which adds
-//! a fault-injection leg (schema v4 `faults` section): the degradation
+//! The binary runs in seconds and emits one JSON document. Arguments:
+//! an optional output path (`-` writes to stdout), `--smoke`, which
+//! shrinks every measurement for CI smoke runs (same schema, noisier
+//! numbers), `--metrics`, which additionally prints the embedded
+//! observability snapshot to stderr, and `--faults`, which adds a
+//! fault-injection leg (schema v4 `faults` section): the degradation
 //! ladder timed against the clean path on a pre-corrupted session, plus
 //! a fleet carrying a hard front-end fault so the quarantine counters
 //! are exercised. The run aborts if the degraded-path overhead exceeds

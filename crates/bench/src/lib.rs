@@ -2,10 +2,8 @@
 //! table/figure regeneration binaries.
 //!
 //! Each binary in `src/bin/` prints one of the paper's tables or figures
-//! from a deterministic simulated study; the Criterion benches in
-//! `benches/` measure the runtime of the kernels and pipelines behind
-//! them. `EXPERIMENTS.md` at the workspace root records
-//! paper-reported versus regenerated values.
+//! from a deterministic simulated study. `EXPERIMENTS.md` at the
+//! workspace root records paper-reported versus regenerated values.
 
 use cardiotouch::experiment::{run_position_study, StudyConfig, StudyOutcome};
 use cardiotouch_physio::scenario::Protocol;

@@ -128,6 +128,11 @@ impl fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
+/// Longest recording `simulate` generates, seconds: one hour, ~22 MB
+/// per channel at 250 Hz. The limit keeps a mistyped `--seconds` from
+/// sizing the channels past what the process can allocate.
+const MAX_SIMULATE_SECONDS: f64 = 3600.0;
+
 /// Usage text.
 pub const USAGE: &str = "\
 cardiotouch — touch-based ICG/ECG simulation and analysis
@@ -187,8 +192,8 @@ checkpoint, replays the log suffix, and continues serving with
 bitwise-identical beat emissions; it keeps checkpointing into DIR.
 
 Delineation: --delineation selects the ICG delineation strategy used
-for beat landmark detection. STRAT is classic | rebeat | weighted-b |
-hybrid (default hybrid). Golden vectors pin the default strategy, so
+for beat landmark detection. STRAT is classic | hybrid (default
+hybrid). Golden vectors pin the default strategy, so
 `conformance --delineation` with a non-default strategy skips the
 golden drift check and refuses --write-golden; the differential and
 accuracy legs still run.
@@ -472,6 +477,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             if !(1..=3).contains(&position) {
                 return Err(ParseArgsError("--position must be 1..=3".into()));
             }
+            if !(seconds > 0.0 && seconds <= MAX_SIMULATE_SECONDS) {
+                return Err(ParseArgsError(format!(
+                    "--seconds must be within (0, {MAX_SIMULATE_SECONDS}]"
+                )));
+            }
             Ok(Command::Simulate {
                 subject,
                 position,
@@ -551,7 +561,7 @@ fn parse_delineation(v: &str) -> Result<DelineationStrategy, ParseArgsError> {
     DelineationStrategy::parse(v).ok_or_else(|| {
         ParseArgsError(format!(
             "--delineation: unknown strategy `{v}` \
-             (expected classic | rebeat | weighted-b | hybrid)"
+             (expected classic | hybrid)"
         ))
     })
 }
@@ -621,6 +631,18 @@ mod tests {
         assert!(p(&["simulate", "--position", "0"]).is_err());
         assert!(p(&["simulate", "--seed"]).is_err());
         assert!(p(&["simulate", "--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn simulate_rejects_unusable_durations() {
+        // Parsed only: nothing here allocates a recording.
+        for bad in ["nan", "inf", "-inf", "0", "-5", "1e7", "3600.5"] {
+            let err = p(&["simulate", "--seconds", bad]).unwrap_err();
+            assert!(err.0.contains("--seconds"), "{bad}: {}", err.0);
+        }
+        for ok in ["0.5", "30", "3600"] {
+            assert!(p(&["simulate", "--seconds", ok]).is_ok(), "{ok}");
+        }
     }
 
     #[test]
@@ -896,8 +918,6 @@ mod tests {
     fn delineation_flag() {
         for (name, strat) in [
             ("classic", DelineationStrategy::Classic),
-            ("rebeat", DelineationStrategy::ReBeatIcg),
-            ("weighted-b", DelineationStrategy::WeightedWindowB),
             ("hybrid", DelineationStrategy::Hybrid),
         ] {
             assert_eq!(
@@ -931,18 +951,21 @@ mod tests {
             }
         );
         assert_eq!(
-            p(&["conformance", "--delineation", "rebeat"]).unwrap(),
+            p(&["conformance", "--delineation", "classic"]).unwrap(),
             Command::Conformance {
                 golden: None,
                 write_golden: false,
                 acc_out: None,
-                delineation: Some(DelineationStrategy::ReBeatIcg)
+                delineation: Some(DelineationStrategy::Classic)
             }
         );
-        // value validation: the four stable names only
+        // value validation: the two stable names only; the retired
+        // stand-alone strategies are unknown
         let err = p(&["study", "--delineation", "fancy"]).unwrap_err();
         assert!(err.0.contains("unknown strategy"), "{}", err.0);
-        assert!(err.0.contains("weighted-b"), "{}", err.0);
+        assert!(err.0.contains("classic | hybrid"), "{}", err.0);
+        assert!(p(&["study", "--delineation", "rebeat"]).is_err());
+        assert!(p(&["study", "--delineation", "weighted-b"]).is_err());
         assert!(p(&["study", "--delineation"]).is_err());
         assert!(p(&["serve-sim", "--delineation", "x"]).is_err());
         assert!(p(&["conformance", "--delineation"]).is_err());

@@ -350,10 +350,6 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             let budget = PowerBudget::paper_table_i();
             let duty = CycleBudget::paper_pipeline().duty_cycle(250.0, 70.0);
             println!("CPU duty cycle (float pipeline): {:.1} %", duty * 100.0);
-            println!(
-                "CPU duty cycle (Q15 pipeline):   {:.1} %",
-                CycleBudget::paper_pipeline_q15().duty_cycle(250.0, 70.0) * 100.0
-            );
             for (label, d) in [
                 (
                     "continuous (paper worst case)",
@@ -871,5 +867,44 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             }
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `analyze --hemo-z0` on a 30 s simulated recording: a usable Z0
+    /// analyses it, an unusable one fails by name instead of silently
+    /// dropping every beat.
+    #[test]
+    fn analyze_rejects_unusable_hemo_z0() {
+        let dir = std::env::temp_dir().join(format!("cardiotouch-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = dir.join("rec.csv").to_string_lossy().into_owned();
+        run(Command::Simulate {
+            subject: 1,
+            position: 1,
+            freq_hz: 50_000.0,
+            seconds: 30.0,
+            seed: 7,
+            out: rec.clone(),
+        })
+        .unwrap();
+        let analyze = |hemo_z0| {
+            run(Command::Analyze {
+                input: rec.clone(),
+                beats_out: None,
+                sqi: false,
+                hemo_z0,
+            })
+        };
+        analyze(None).unwrap();
+        analyze(Some(28.0)).unwrap();
+        for z0 in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
+            let err = analyze(Some(z0)).unwrap_err().to_string();
+            assert!(err.contains("hemo_z0_ohm"), "{z0}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -149,7 +149,8 @@ impl PipelineConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for an unusable sampling
-    /// rate or RR gate.
+    /// rate, RR gate, beat count, SQI threshold, holdover cap or Z0
+    /// calibration.
     pub fn validate(&self) -> Result<(), CoreError> {
         if !(self.fs > 80.0 && self.fs.is_finite()) {
             return Err(CoreError::InvalidParameter {
@@ -188,6 +189,15 @@ impl PipelineConfig {
                 constraint: "must be within (0, 5] seconds",
             });
         }
+        if let Some(z0) = self.hemo_z0_ohm {
+            if !(z0 > 0.0 && z0.is_finite()) {
+                return Err(CoreError::InvalidParameter {
+                    name: "hemo_z0_ohm",
+                    value: z0,
+                    constraint: "must be positive and finite",
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -214,6 +224,30 @@ mod tests {
         assert_eq!(cfg.hemo_z0_ohm, Some(28.0));
         assert!(matches!(cfg.x_search, XSearch::RtWindow { .. }));
         assert_eq!(cfg.delineation, DelineationStrategy::Classic);
+    }
+
+    #[test]
+    fn unusable_hemo_z0_rejected() {
+        assert!(PipelineConfig::paper_default(250.0)
+            .with_hemo_z0(28.0)
+            .validate()
+            .is_ok());
+        for z0 in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0] {
+            let err = PipelineConfig::paper_default(250.0)
+                .with_hemo_z0(z0)
+                .validate()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidParameter {
+                        name: "hemo_z0_ohm",
+                        ..
+                    }
+                ),
+                "{z0}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -62,14 +62,12 @@ pub mod compare;
 pub mod config;
 pub mod experiment;
 pub mod fleet;
-pub mod fluid;
 pub mod io;
 pub mod pipeline;
 pub mod report;
 pub mod respiration;
 pub mod scheduler;
 pub mod snapshot;
-pub mod spectroscopy;
 pub mod stream;
 pub mod wire;
 

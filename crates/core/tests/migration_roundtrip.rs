@@ -96,7 +96,7 @@ fn push_range(
 }
 
 proptest! {
-    // 16 cases: enough draws that all four strategies are sampled with
+    // 16 cases: enough draws that both strategies are sampled with
     // overwhelming probability while the property stays fast (the
     // recording cache absorbs the synthesis cost).
     #![proptest_config(ProptestConfig::with_cases(16))]

@@ -83,8 +83,8 @@ impl CycleBudget {
         let stages = vec![
             Stage {
                 // Sun–Chan–Krishnan baseline: two openings/closings with
-                // van Herk sliding extrema — ~3 comparisons+updates per
-                // sample per pass, 4 passes, plus the subtraction.
+                // monotonic-deque sliding extrema — ~3 comparisons+updates
+                // per sample per pass, 4 passes, plus the subtraction.
                 name: "ECG morphological baseline removal",
                 flops_per_sample: 26.0,
                 flops_per_beat: 0.0,
@@ -126,23 +126,6 @@ impl CycleBudget {
             cycles_per_flop: 150.0,
             overhead_factor: 1.45,
             clock_hz: 32.0e6,
-        }
-    }
-
-    /// The same pipeline rewritten in Q15 fixed point (implemented in
-    /// `cardiotouch_dsp::fixed`): 16×16→32 MAC is single-cycle on
-    /// Cortex-M3, so the per-flop cost collapses from ~150 cycles to ~4
-    /// (MAC + load + pointer bump + loop share), and the buffer-handling
-    /// overhead share stays. This is the optimisation headroom the
-    /// paper's 40–50 % figure leaves on the table.
-    #[must_use]
-    pub fn paper_pipeline_q15() -> Self {
-        let float = Self::paper_pipeline();
-        Self {
-            stages: float.stages,
-            cycles_per_flop: 4.0,
-            overhead_factor: float.overhead_factor,
-            clock_hz: float.clock_hz,
         }
     }
 
@@ -236,14 +219,6 @@ mod tests {
                 assert!(fir >= *d, "{name} exceeds the FIR stage");
             }
         }
-    }
-
-    #[test]
-    fn q15_rewrite_collapses_the_duty_cycle() {
-        let float = CycleBudget::paper_pipeline().duty_cycle(250.0, 70.0);
-        let fixed = CycleBudget::paper_pipeline_q15().duty_cycle(250.0, 70.0);
-        assert!(fixed < 0.05, "q15 duty {fixed}");
-        assert!(float / fixed > 25.0, "speed-up {}", float / fixed);
     }
 
     #[test]

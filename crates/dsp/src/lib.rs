@@ -48,16 +48,13 @@
 pub mod design_cache;
 pub mod diff;
 pub mod fir;
-pub mod fixed;
 pub mod iir;
 pub mod morph;
-pub mod optimize;
 pub mod peaks;
 pub mod resample;
 pub mod spectrum;
 pub mod stats;
 pub mod streaming;
-pub mod wavelet;
 pub mod window;
 pub mod zero_phase;
 

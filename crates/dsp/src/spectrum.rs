@@ -220,81 +220,6 @@ pub fn welch_psd(
         .collect())
 }
 
-/// Lomb–Scargle normalized periodogram of unevenly sampled data —
-/// the natural spectral estimator for beat-to-beat (RR) series, which are
-/// sampled at the heartbeats themselves rather than on a uniform grid.
-///
-/// `t` are sample times (seconds, ascending), `y` the values, `freqs` the
-/// analysis frequencies in hertz. Returns one power value per frequency,
-/// normalized by the data variance (a pure tone of amplitude A sampled N
-/// times yields a peak of ≈ N·A²/(4σ²)).
-///
-/// # Errors
-///
-/// * [`DspError::LengthMismatch`] when `t` and `y` differ;
-/// * [`DspError::InputTooShort`] with fewer than 3 samples;
-/// * [`DspError::InvalidParameter`] for zero variance or a non-positive
-///   analysis frequency.
-pub fn lomb_scargle(t: &[f64], y: &[f64], freqs: &[f64]) -> Result<Vec<f64>, DspError> {
-    if t.len() != y.len() {
-        return Err(DspError::LengthMismatch {
-            left: t.len(),
-            right: y.len(),
-        });
-    }
-    if t.len() < 3 {
-        return Err(DspError::InputTooShort {
-            len: t.len(),
-            min_len: 3,
-        });
-    }
-    let mean = y.iter().sum::<f64>() / y.len() as f64;
-    let var = y.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (y.len() - 1) as f64;
-    if var <= 0.0 {
-        return Err(DspError::InvalidParameter {
-            name: "y",
-            value: var,
-            constraint: "must have non-zero variance",
-        });
-    }
-    let yc: Vec<f64> = y.iter().map(|v| v - mean).collect();
-    let mut out = Vec::with_capacity(freqs.len());
-    for &f in freqs {
-        if !(f > 0.0 && f.is_finite()) {
-            return Err(DspError::InvalidFrequency {
-                frequency_hz: f,
-                sample_rate_hz: f64::NAN,
-            });
-        }
-        let w = 2.0 * std::f64::consts::PI * f;
-        // phase offset tau for the classic invariant form
-        let (mut s2, mut c2) = (0.0, 0.0);
-        for &ti in t {
-            s2 += (2.0 * w * ti).sin();
-            c2 += (2.0 * w * ti).cos();
-        }
-        let tau = s2.atan2(c2) / (2.0 * w);
-        let (mut cy, mut sy, mut cc, mut ss) = (0.0, 0.0, 0.0, 0.0);
-        for (&ti, &yi) in t.iter().zip(&yc) {
-            let arg = w * (ti - tau);
-            let (s, c) = arg.sin_cos();
-            cy += yi * c;
-            sy += yi * s;
-            cc += c * c;
-            ss += s * s;
-        }
-        let p = if cc > 0.0 && ss > 0.0 {
-            0.5 * (cy * cy / cc + sy * sy / ss) / var
-        } else if cc > 0.0 {
-            0.5 * (cy * cy / cc) / var
-        } else {
-            0.5 * (sy * sy / ss) / var
-        };
-        out.push(p);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,53 +362,5 @@ mod tests {
         assert!(welch_psd(&x, FS, 4, Window::Hann).is_err());
         assert!(welch_psd(&x, FS, 128, Window::Hann).is_err());
         assert!(welch_psd(&x, 0.0, 32, Window::Hann).is_err());
-    }
-
-    #[test]
-    fn lomb_scargle_finds_tone_in_uneven_samples() {
-        // sample a 0.25 Hz tone at jittered ~1 Hz instants
-        let mut t = Vec::new();
-        let mut y = Vec::new();
-        let mut ti = 0.0;
-        let mut state = 12345u64;
-        for _ in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let jitter = ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 0.4;
-            ti += 1.0 + jitter;
-            t.push(ti);
-            y.push((2.0 * std::f64::consts::PI * 0.25 * ti).sin());
-        }
-        let freqs: Vec<f64> = (1..50).map(|k| k as f64 * 0.01).collect();
-        let p = lomb_scargle(&t, &y, &freqs).unwrap();
-        let peak_idx = p
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert!(
-            (freqs[peak_idx] - 0.25).abs() < 0.015,
-            "peak at {} Hz",
-            freqs[peak_idx]
-        );
-        // peak dominates the background
-        let bg = p
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i.abs_diff(peak_idx) > 4)
-            .map(|(_, v)| *v)
-            .fold(0.0f64, f64::max);
-        assert!(p[peak_idx] > 5.0 * bg);
-    }
-
-    #[test]
-    fn lomb_scargle_validation() {
-        let t = [0.0, 1.0, 2.0];
-        assert!(lomb_scargle(&t, &[1.0, 2.0], &[0.1]).is_err());
-        assert!(lomb_scargle(&t[..2], &[1.0, 2.0], &[0.1]).is_err());
-        assert!(lomb_scargle(&t, &[1.0, 1.0, 1.0], &[0.1]).is_err());
-        assert!(lomb_scargle(&t, &[1.0, 2.0, 3.0], &[-0.1]).is_err());
     }
 }

@@ -325,62 +325,6 @@ proptest! {
         let b = stats::percentile(&x, hi).unwrap();
         prop_assert!(a <= b + 1e-12);
     }
-
-    #[test]
-    fn wavelet_perfect_reconstruction(
-        x in prop::collection::vec(-10.0f64..10.0, 64..300),
-        levels in 1usize..4,
-    ) {
-        use cardiotouch_dsp::wavelet::{decompose, Wavelet};
-        for w in [Wavelet::Haar, Wavelet::Db4] {
-            let dec = decompose(&x, w, levels).unwrap();
-            let y = dec.reconstruct();
-            prop_assert_eq!(y.len(), x.len());
-            // periodized transform: interior must reconstruct exactly
-            let margin = 8 << levels;
-            if x.len() > 2 * margin {
-                for i in margin..x.len() - margin {
-                    prop_assert!((x[i] - y[i]).abs() < 1e-8, "{:?} L{} i={}", w, levels, i);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn q15_round_trip_error_bounded(v in -0.999f64..0.999) {
-        use cardiotouch_dsp::fixed::{from_q15, to_q15};
-        prop_assert!((from_q15(to_q15(v)) - v).abs() <= 1.0 / 32768.0);
-    }
-
-    #[test]
-    fn q15_fir_tracks_float_reference(
-        seed in 0u64..50,
-        freq in 2.0f64..35.0,
-    ) {
-        use cardiotouch_dsp::fixed::{with_q15_signal, FirQ15};
-        let fir = Fir::lowpass(16, 40.0, 250.0, Window::Hamming).unwrap();
-        let fq = FirQ15::from_design(&fir).unwrap();
-        let x: Vec<f64> = (0..400)
-            .map(|i| 0.7 * (2.0 * std::f64::consts::PI * freq * (i as f64 + seed as f64) / 250.0).sin())
-            .collect();
-        let y_ref = fir.filter(&x);
-        let y_q = with_q15_signal(&x, 1.0, |q| fq.filter(q)).unwrap();
-        for i in 0..x.len() {
-            prop_assert!((y_ref[i] - y_q[i]).abs() < 0.01, "i={}", i);
-        }
-    }
-
-    #[test]
-    fn nelder_mead_finds_quadratic_minimum(
-        cx in -5.0f64..5.0,
-        cy in -5.0f64..5.0,
-    ) {
-        use cardiotouch_dsp::optimize::{nelder_mead, NelderMeadOptions};
-        let f = move |p: &[f64]| (p[0] - cx).powi(2) + 2.0 * (p[1] - cy).powi(2);
-        let m = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default()).unwrap();
-        prop_assert!((m.x[0] - cx).abs() < 1e-3, "{:?}", m.x);
-        prop_assert!((m.x[1] - cy).abs() < 1e-3, "{:?}", m.x);
-    }
 }
 
 /// The block-by-block zero-phase stage as it stood before backward passes

@@ -54,12 +54,6 @@ impl RrSeries {
         })
     }
 
-    /// The RR intervals in seconds.
-    #[must_use]
-    pub fn intervals_s(&self) -> &[f64] {
-        &self.intervals_s
-    }
-
     /// Sampling rate the peak indices refer to.
     #[must_use]
     pub fn fs(&self) -> f64 {
@@ -78,34 +72,6 @@ impl RrSeries {
     pub fn instantaneous_hr_bpm(&self) -> Vec<f64> {
         self.intervals_s.iter().map(|rr| 60.0 / rr).collect()
     }
-
-    /// SDNN: standard deviation of the RR intervals, seconds.
-    #[must_use]
-    pub fn sdnn_s(&self) -> f64 {
-        let m = self.intervals_s.iter().sum::<f64>() / self.intervals_s.len() as f64;
-        (self
-            .intervals_s
-            .iter()
-            .map(|v| (v - m) * (v - m))
-            .sum::<f64>()
-            / self.intervals_s.len() as f64)
-            .sqrt()
-    }
-
-    /// RMSSD: root-mean-square of successive RR differences, seconds.
-    /// Returns 0 for a single-interval series.
-    #[must_use]
-    pub fn rmssd_s(&self) -> f64 {
-        if self.intervals_s.len() < 2 {
-            return 0.0;
-        }
-        let ss: f64 = self
-            .intervals_s
-            .windows(2)
-            .map(|w| (w[1] - w[0]) * (w[1] - w[0]))
-            .sum();
-        (ss / (self.intervals_s.len() - 1) as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -118,9 +84,7 @@ mod tests {
         let peaks: Vec<usize> = (0..10).map(|i| i * 250).collect();
         let rr = RrSeries::from_peaks(&peaks, 250.0).unwrap();
         assert!((rr.mean_hr_bpm() - 60.0).abs() < 1e-12);
-        assert_eq!(rr.intervals_s().len(), 9);
-        assert!(rr.sdnn_s() < 1e-12);
-        assert!(rr.rmssd_s() < 1e-12);
+        assert_eq!(rr.intervals_s.len(), 9);
     }
 
     #[test]
@@ -131,14 +95,6 @@ mod tests {
         assert!((inst[0] - 60.0).abs() < 1e-9);
         assert!((inst[1] - 75.0).abs() < 1e-9);
         assert!((inst[2] - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn variability_metrics_positive_for_varying_rr() {
-        let peaks = [0usize, 240, 500, 740, 1010];
-        let rr = RrSeries::from_peaks(&peaks, 250.0).unwrap();
-        assert!(rr.sdnn_s() > 0.0);
-        assert!(rr.rmssd_s() > 0.0);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 pub mod filter;
 pub mod hr;
-pub mod hrv;
 pub mod online;
 pub mod pan_tompkins;
 

@@ -45,7 +45,6 @@
 //! # }
 //! ```
 
-pub mod artifact;
 pub mod beat;
 pub mod ensemble;
 pub mod filter;
@@ -55,7 +54,6 @@ pub mod online;
 pub mod points;
 pub mod quality;
 pub mod strategy;
-pub mod trending;
 
 mod error;
 

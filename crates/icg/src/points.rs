@@ -66,15 +66,6 @@ pub enum BRule {
     FirstDerivativeZeroCrossing,
     /// Neither refinement found a candidate in its window: B0 itself.
     LineFitIntercept,
-    /// ReBeatICG: B is the last local minimum of the smoothed ICG (the
-    /// valve-opening notch) before C.
-    SignalNotchMinimum,
-    /// ReBeatICG fallback: no notch survived smoothing — B is the last
-    /// zero crossing of the smoothed ICG before C.
-    SignalZeroCrossing,
-    /// ReBeatICG final fallback: the maximum-curvature point (second
-    /// derivative maximum) on the rising edge.
-    CurvatureMaximum,
     /// Weighted time-window estimator: the best-scoring candidate
     /// inside the physiologically expected window (or its centre when
     /// the window holds no candidate — the implied-interval gate still
@@ -83,14 +74,14 @@ pub enum BRule {
 }
 
 /// Plausibility band (seconds) on the implied PEP under the
-/// weighted-window strategies: a delineation whose R→B interval leaves
+/// weighted-window strategy: a delineation whose R→B interval leaves
 /// it is rejected outright. Deliberately tighter than the downstream
 /// `is_physiological` outlier bounds (0.05–0.25 s), which flag but
 /// keep the beat.
 pub const WEIGHTED_PEP_BAND_S: (f64, f64) = (0.06, 0.20);
 
 /// Plausibility band (seconds) on the implied LVET under the
-/// weighted-window strategies (`is_physiological` allows 0.12–0.50 s).
+/// weighted-window strategy (`is_physiological` allows 0.12–0.50 s).
 pub const WEIGHTED_LVET_BAND_S: (f64, f64) = (0.15, 0.45);
 
 /// Detected characteristic points of one beat, as sample indices relative
@@ -121,10 +112,6 @@ pub struct PointDetector {
     b_refine_window_s: f64,
     /// Extent of the leftward X refinement search, seconds.
     x_refine_window_s: f64,
-    /// Extent of the ReBeatICG notch search left of C, seconds — wide
-    /// enough for the longest physiological B→C run (~0.4·LVET), short
-    /// enough to exclude the A wave.
-    b_notch_window_s: f64,
     /// Half-width of the weighted B window, seconds.
     b_weight_halfwidth_s: f64,
 }
@@ -173,7 +160,6 @@ impl PointDetector {
             strategy,
             b_refine_window_s: 0.060,
             x_refine_window_s: 0.080,
-            b_notch_window_s: 0.180,
             b_weight_halfwidth_s: 0.050,
         })
     }
@@ -192,7 +178,7 @@ impl PointDetector {
 
     /// Detects B, C and X in one beat segment (`icg[0]` at the R peak),
     /// using a throwaway [`StrategyState`] — the stateless entry point.
-    /// For the weighted-window strategies, prefer [`Self::detect_with`]
+    /// For the weighted-window strategy, prefer [`Self::detect_with`]
     /// so the expected-B prior adapts beat over beat.
     ///
     /// # Errors
@@ -224,11 +210,7 @@ impl PointDetector {
             let work = &mut work.borrow_mut();
             match self.strategy {
                 DelineationStrategy::Classic => self.detect_classic(icg, work),
-                DelineationStrategy::ReBeatIcg => self.detect_rebeat(icg, work),
-                DelineationStrategy::WeightedWindowB => {
-                    self.detect_weighted(icg, state, false, work)
-                }
-                DelineationStrategy::Hybrid => self.detect_weighted(icg, state, true, work),
+                DelineationStrategy::Hybrid => self.detect_weighted(icg, state, work),
             }
         })
     }
@@ -239,31 +221,8 @@ impl PointDetector {
         icg: &[f64],
         work: &mut DetectWork,
     ) -> Result<CharacteristicPoints, IcgError> {
-        let min_len = (0.3 * self.fs) as usize;
-        if icg.len() < min_len {
-            return Err(IcgError::BeatTooShort {
-                len: icg.len(),
-                min_len,
-            });
-        }
-
-        // --- C point -----------------------------------------------------
-        // Search away from the segment edges: the ejection cannot start
-        // before ~40 ms after R, and C sits in the first ~3/4 of the cycle.
-        let c_lo = (0.04 * self.fs) as usize;
-        let c_hi = (icg.len() * 3) / 4;
-        let c = c_lo
-            + peaks::argmax(&icg[c_lo..c_hi]).ok_or(IcgError::PointNotFound {
-                point: "C",
-                reason: "empty search window",
-            })?;
-        let amp_c = icg[c];
-        if amp_c <= 0.0 {
-            return Err(IcgError::PointNotFound {
-                point: "C",
-                reason: "no positive deflection in the beat",
-            });
-        }
+        self.check_len(icg)?;
+        let c = self.find_c(icg)?;
 
         // --- derivatives ---------------------------------------------------
         // Derivatives triple-amplify in-band noise, so they are computed
@@ -307,47 +266,15 @@ impl PointDetector {
         }
         let b = b.min(c.saturating_sub(1));
 
-        // --- X0 ---------------------------------------------------------------
-        // The "global" search is bounded at 300 ms past C: the C apex sits
-        // ~40 % into ejection, so X trails it by 0.6·LVET ≤ 270 ms even at
-        // the longest physiological LVET; anything deeper farther out is a
-        // diastolic artifact, not the valve closure.
-        let x_bound = c + 1 + (0.30 * self.fs) as usize;
-        let (x_lo, x_hi) = match self.x_search {
-            XSearch::GlobalMinimum => (c + 1, icg.len().min(x_bound)),
-            XSearch::RtWindow { rt_s } => {
-                let lo = ((rt_s * self.fs) as usize).max(c + 1);
-                let hi = ((1.75 * rt_s * self.fs) as usize).min(icg.len());
-                if lo >= hi {
-                    (c + 1, icg.len())
-                } else {
-                    (lo, hi)
-                }
-            }
-        };
-        if x_lo >= x_hi {
-            return Err(IcgError::PointNotFound {
-                point: "X",
-                reason: "no samples after the C point",
-            });
-        }
-        let x0 = x_lo
-            + peaks::argmin(&icg[x_lo..x_hi]).ok_or(IcgError::PointNotFound {
-                point: "X",
-                reason: "empty search window",
-            })?;
+        // --- X: the negative post-C trough, refined to its onset ------------
+        let x0 = self.x_trough(icg, c)?;
         if icg[x0] >= 0.0 {
             return Err(IcgError::PointNotFound {
                 point: "X",
                 reason: "no negative minimum after the C point",
             });
         }
-
-        // --- X refinement ------------------------------------------------------
-        let x_window = (self.x_refine_window_s * self.fs) as usize;
-        let x = first_local_min_left_within(d3, x0, x_window)
-            .filter(|&idx| idx > c)
-            .unwrap_or(x0);
+        let x = self.refine_x(d3, x0, c);
 
         Ok(CharacteristicPoints {
             b,
@@ -370,8 +297,9 @@ impl PointDetector {
         Ok(())
     }
 
-    /// Shared C-apex search (identical window to the Classic rules so
-    /// every strategy names the same apex).
+    /// Shared C-apex search. The window keeps away from the segment
+    /// edges: the ejection cannot start before ~40 ms after R, and C sits
+    /// in the first ~3/4 of the cycle.
     fn find_c(&self, icg: &[f64]) -> Result<usize, IcgError> {
         let c_lo = (0.04 * self.fs) as usize;
         let c_hi = (icg.len() * 3) / 4;
@@ -389,10 +317,12 @@ impl PointDetector {
         Ok(c)
     }
 
-    /// ReBeatICG X rule: the bounded post-C trough (sign-free, so a
-    /// degraded beat still yields a point) refined to the notch onset
-    /// via the third derivative.
-    fn x_rebeat(&self, icg: &[f64], c: usize, d3: &[f64]) -> Result<usize, IcgError> {
+    /// The lowest ICG sample in the X search window right of C. The
+    /// global search is bounded at 300 ms past C: the C apex sits ~40 %
+    /// into ejection, so X trails it by 0.6·LVET ≤ 270 ms even at the
+    /// longest physiological LVET; anything deeper farther out is a
+    /// diastolic artifact, not the valve closure.
+    fn x_trough(&self, icg: &[f64], c: usize) -> Result<usize, IcgError> {
         let x_bound = c + 1 + (0.30 * self.fs) as usize;
         let (x_lo, x_hi) = match self.x_search {
             XSearch::GlobalMinimum => (c + 1, icg.len().min(x_bound)),
@@ -412,51 +342,20 @@ impl PointDetector {
                 reason: "no samples after the C point",
             });
         }
-        let x0 = x_lo
+        Ok(x_lo
             + peaks::argmin(&icg[x_lo..x_hi]).ok_or(IcgError::PointNotFound {
                 point: "X",
                 reason: "empty search window",
-            })?;
-        let x_window = (self.x_refine_window_s * self.fs) as usize;
-        Ok(first_local_min_left_within(d3, x0, x_window)
-            .filter(|&idx| idx > c)
-            .unwrap_or(x0))
+            })?)
     }
 
-    /// ReBeatICG (arXiv:2105.01525): C apex → notch-minimum B (with
-    /// zero-crossing and max-curvature fallbacks) → bounded-trough X.
-    /// Once a positive C wave exists, B and X always resolve — the
-    /// layered fallbacks are the point of the algorithm.
-    fn detect_rebeat(
-        &self,
-        icg: &[f64],
-        work: &mut DetectWork,
-    ) -> Result<CharacteristicPoints, IcgError> {
-        self.check_len(icg)?;
-        let c = self.find_c(icg)?;
-        work.derivatives(icg, self.fs)?;
-        let smoothed = &work.smoothed[..];
-        let notch_window = (self.b_notch_window_s * self.fs) as usize;
-        let (b, b_rule) = if let Some(idx) = first_local_min_left_within(smoothed, c, notch_window)
-        {
-            (idx, BRule::SignalNotchMinimum)
-        } else if let Some(idx) = first_zero_crossing_left_within(smoothed, c, notch_window) {
-            (idx, BRule::SignalZeroCrossing)
-        } else {
-            // Maximum curvature on the rising edge: always defined.
-            let lo = c.saturating_sub(notch_window).max(1);
-            let idx = lo + peaks::argmax(&work.d2[lo..c.max(lo + 1)]).unwrap_or(0);
-            (idx, BRule::CurvatureMaximum)
-        };
-        let b = b.min(c.saturating_sub(1));
-        let x = self.x_rebeat(icg, c, &work.d3)?;
-        Ok(CharacteristicPoints {
-            b,
-            c,
-            x,
-            b0: b as f64,
-            b_rule,
-        })
+    /// Refines the trough `x0` to the third-derivative minimum just left
+    /// of it (the valve-closure onset), staying right of C.
+    fn refine_x(&self, d3: &[f64], x0: usize, c: usize) -> usize {
+        let x_window = (self.x_refine_window_s * self.fs) as usize;
+        first_local_min_left_within(d3, x0, x_window)
+            .filter(|&idx| idx > c)
+            .unwrap_or(x0)
     }
 
     /// Weighted time-window B (arXiv:2207.04490): candidates inside the
@@ -466,14 +365,12 @@ impl PointDetector {
     /// current beat's anchor; the first beat uses its anchor directly.
     /// The implied PEP/LVET must land inside the expected bands
     /// ([`WEIGHTED_PEP_BAND_S`], [`WEIGHTED_LVET_BAND_S`]) or the beat
-    /// is rejected. `rebeat_cx` pairs the estimator with the ReBeatICG
-    /// C/X rules ([`DelineationStrategy::Hybrid`]) instead of the
-    /// Classic ones.
+    /// is rejected. The estimator is paired with the ReBeatICG C/X rules
+    /// ([`DelineationStrategy::Hybrid`]).
     fn detect_weighted(
         &self,
         icg: &[f64],
         state: &mut StrategyState,
-        rebeat_cx: bool,
         work: &mut DetectWork,
     ) -> Result<CharacteristicPoints, IcgError> {
         self.check_len(icg)?;
@@ -512,45 +409,10 @@ impl PointDetector {
         };
         let (b, b_rule) = self.weighted_b(c, d1, d3, b0, pred);
 
-        let x = if rebeat_cx {
-            self.x_rebeat(icg, c, d3)?
-        } else {
-            // Classic X: global negative trough + third-derivative onset.
-            let x_bound = c + 1 + (0.30 * self.fs) as usize;
-            let (x_lo, x_hi) = match self.x_search {
-                XSearch::GlobalMinimum => (c + 1, icg.len().min(x_bound)),
-                XSearch::RtWindow { rt_s } => {
-                    let lo = ((rt_s * self.fs) as usize).max(c + 1);
-                    let hi = ((1.75 * rt_s * self.fs) as usize).min(icg.len());
-                    if lo >= hi {
-                        (c + 1, icg.len())
-                    } else {
-                        (lo, hi)
-                    }
-                }
-            };
-            if x_lo >= x_hi {
-                return Err(IcgError::PointNotFound {
-                    point: "X",
-                    reason: "no samples after the C point",
-                });
-            }
-            let x0 = x_lo
-                + peaks::argmin(&icg[x_lo..x_hi]).ok_or(IcgError::PointNotFound {
-                    point: "X",
-                    reason: "empty search window",
-                })?;
-            if icg[x0] >= 0.0 {
-                return Err(IcgError::PointNotFound {
-                    point: "X",
-                    reason: "no negative minimum after the C point",
-                });
-            }
-            let x_window = (self.x_refine_window_s * self.fs) as usize;
-            first_local_min_left_within(d3, x0, x_window)
-                .filter(|&idx| idx > c)
-                .unwrap_or(x0)
-        };
+        // ReBeatICG X: the bounded post-C trough, sign-free (unlike
+        // Classic) so a degraded beat still yields a point, refined to
+        // its onset via the third derivative.
+        let x = self.refine_x(d3, self.x_trough(icg, c)?, c);
 
         // The same physiologically-expected-window principle the B
         // search runs on, applied to the implied intervals: a beat
@@ -1034,36 +896,11 @@ mod tests {
     }
 
     #[test]
-    fn rebeat_never_rejects_a_beat_with_a_positive_c_wave() {
-        // A beat whose trough never goes negative: Classic rejects it
-        // (no negative X minimum), ReBeatICG still delineates.
-        let seg: Vec<f64> = (0..250)
-            .map(|i| {
-                let t = i as f64 / FS;
-                1.4 * (-(t - 0.25) * (t - 0.25) / (2.0 * 0.05 * 0.05)).exp() + 0.05
-            })
-            .collect();
-        let classic = detector();
-        assert!(classic.detect(&seg).is_err());
-        let rebeat = PointDetector::with_strategy(
-            FS,
-            XSearch::GlobalMinimum,
-            DelineationStrategy::ReBeatIcg,
-        )
-        .unwrap();
-        let pts = rebeat.detect(&seg).unwrap();
-        assert!(pts.b < pts.c && pts.c < pts.x);
-    }
-
-    #[test]
     fn weighted_b_prior_adapts_across_beats() {
         let (icg, lms) = synth(9);
-        let det = PointDetector::with_strategy(
-            FS,
-            XSearch::GlobalMinimum,
-            DelineationStrategy::WeightedWindowB,
-        )
-        .unwrap();
+        let det =
+            PointDetector::with_strategy(FS, XSearch::GlobalMinimum, DelineationStrategy::Hybrid)
+                .unwrap();
         let mut state = StrategyState::default();
         for w in lms.windows(2) {
             det.detect_with(&icg[w[0].r..w[1].r], &mut state).unwrap();

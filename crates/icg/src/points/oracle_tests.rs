@@ -160,41 +160,10 @@ fn classic_alloc(det: &PointDetector, icg: &[f64]) -> Result<CharacteristicPoint
     })
 }
 
-fn rebeat_alloc(det: &PointDetector, icg: &[f64]) -> Result<CharacteristicPoints, IcgError> {
-    det.check_len(icg)?;
-    let c = det.find_c(icg)?;
-    let smoothed = smooth_alloc(icg);
-    let notch_window = (det.b_notch_window_s * det.fs) as usize;
-    let (b, b_rule) = if let Some(idx) = first_local_min_left_within(&smoothed, c, notch_window) {
-        (idx, BRule::SignalNotchMinimum)
-    } else if let Some(idx) = first_zero_crossing_left_within(&smoothed, c, notch_window) {
-        (idx, BRule::SignalZeroCrossing)
-    } else {
-        let d2 = derivative_alloc(&derivative_alloc(&smoothed, det.fs), det.fs);
-        let lo = c.saturating_sub(notch_window).max(1);
-        let idx = lo + peaks::argmax(&d2[lo..c.max(lo + 1)]).unwrap_or(0);
-        (idx, BRule::CurvatureMaximum)
-    };
-    let b = b.min(c.saturating_sub(1));
-    let d3 = derivative_alloc(
-        &derivative_alloc(&derivative_alloc(&smoothed, det.fs), det.fs),
-        det.fs,
-    );
-    let x = det.x_rebeat(icg, c, &d3)?;
-    Ok(CharacteristicPoints {
-        b,
-        c,
-        x,
-        b0: b as f64,
-        b_rule,
-    })
-}
-
 fn weighted_alloc(
     det: &PointDetector,
     icg: &[f64],
     state: &mut StrategyState,
-    rebeat_cx: bool,
 ) -> Result<CharacteristicPoints, IcgError> {
     det.check_len(icg)?;
     let c = det.find_c(icg)?;
@@ -219,11 +188,7 @@ fn weighted_alloc(
         seed
     };
     let (b, b_rule) = det.weighted_b(c, &d1, &d3, b0, pred);
-    let x = if rebeat_cx {
-        det.x_rebeat(icg, c, &d3)?
-    } else {
-        classic_x_alloc(det, icg, c, &d3)?
-    };
+    let x = det.refine_x(&d3, det.x_trough(icg, c)?, c);
     let pep_s = b as f64 / det.fs;
     let lvet_s = (x as f64 - b as f64) / det.fs;
     if !(WEIGHTED_PEP_BAND_S.0..=WEIGHTED_PEP_BAND_S.1).contains(&pep_s)
@@ -251,9 +216,7 @@ fn detect_alloc(
 ) -> Result<CharacteristicPoints, IcgError> {
     match det.strategy {
         DelineationStrategy::Classic => classic_alloc(det, icg),
-        DelineationStrategy::ReBeatIcg => rebeat_alloc(det, icg),
-        DelineationStrategy::WeightedWindowB => weighted_alloc(det, icg, state, false),
-        DelineationStrategy::Hybrid => weighted_alloc(det, icg, state, true),
+        DelineationStrategy::Hybrid => weighted_alloc(det, icg, state),
     }
 }
 
@@ -278,7 +241,7 @@ proptest! {
     #[test]
     fn oracle_workspace_detector_bitwise_equals_allocating_copy(
         seed in 0u64..1_000_000,
-        strategy in 0usize..4,
+        strategy in 0usize..DelineationStrategy::ALL.len(),
         fs_pick in 0usize..3,
         rt in 0u32..2,
         noise in 0.0f64..0.6,

@@ -1,18 +1,14 @@
 //! Selectable beat-delineation strategies.
 //!
 //! The paper's original B/C/X rules (`points.rs`, [`Classic`]) are one
-//! point in a design space the ICG literature has kept exploring. Two
-//! low-complexity follow-ups matter for this codebase because they were
+//! point in a design space the ICG literature has kept exploring.
+//! [`DelineationStrategy::Hybrid`] combines two low-complexity follow-ups
 //! built for exactly our streaming, beat-to-beat setting:
 //!
-//! * **ReBeatICG** (Pale et al., arXiv:2105.01525) — a real-time
-//!   low-complexity delineator: C as the in-beat apex, B as the notch
-//!   (last local minimum of the smoothed ICG before C, with
-//!   zero-crossing and max-curvature fallbacks), X as the bounded
-//!   post-C trough with onset refinement. No rule in the chain can
-//!   fail to produce a point once a positive C wave exists, which is
-//!   what makes it robust on degraded touch signals.
-//! * **Weighted time-window B-point** (Miljković & Šekara,
+//! * the **ReBeatICG** C/X rules (Pale et al., arXiv:2105.01525) — C as
+//!   the in-beat apex, X as the bounded, sign-free post-C trough with
+//!   third-derivative onset refinement;
+//! * the **weighted time-window B-point** (Miljković & Šekara,
 //!   arXiv:2207.04490) — B is searched only inside a physiologically
 //!   expected window, candidates (third-derivative minima and
 //!   first-derivative zero crossings) are scored by a triangular
@@ -20,9 +16,10 @@
 //!   itself adapts beat-over-beat (an EMA of accepted R→B intervals,
 //!   seeded from the line-fit intercept on the first beat).
 //!
-//! [`DelineationStrategy::Hybrid`] pairs the ReBeatICG C/X rules with
-//! the weighted-window B — measured best on the conformance corpus and
-//! therefore the pipeline default.
+//! The pairing measured best on the conformance corpus and is therefore
+//! the pipeline default. Either half on its own (stand-alone ReBeatICG,
+//! weighted B with the Classic X) measured no better, so only the pair
+//! is offered.
 //!
 //! Every strategy is implemented in both engines — batch
 //! ([`crate::points::PointDetector::detect_with`]) and O(hop) online
@@ -41,13 +38,6 @@ pub enum DelineationStrategy {
     /// The source paper's rules: 40–80 % line-fit B0 with derivative
     /// refinement, global-minimum X with third-derivative onset.
     Classic,
-    /// ReBeatICG (arXiv:2105.01525): notch-minimum B with layered
-    /// fallbacks, bounded-trough X — never rejects a beat that has a
-    /// positive C wave.
-    ReBeatIcg,
-    /// Classic C/X with the weighted time-window B estimator
-    /// (arXiv:2207.04490).
-    WeightedWindowB,
     /// ReBeatICG C/X + weighted-window B — the measured-best pairing
     /// on the conformance corpus, hence the default.
     #[default]
@@ -56,12 +46,7 @@ pub enum DelineationStrategy {
 
 impl DelineationStrategy {
     /// Every strategy, in a stable order (matrix legs iterate this).
-    pub const ALL: [Self; 4] = [
-        Self::Classic,
-        Self::ReBeatIcg,
-        Self::WeightedWindowB,
-        Self::Hybrid,
-    ];
+    pub const ALL: [Self; 2] = [Self::Classic, Self::Hybrid];
 
     /// Stable lowercase identifier used by CLI flags, JSON snapshots
     /// and the seed corpus.
@@ -69,8 +54,6 @@ impl DelineationStrategy {
     pub fn name(self) -> &'static str {
         match self {
             Self::Classic => "classic",
-            Self::ReBeatIcg => "rebeat",
-            Self::WeightedWindowB => "weighted-b",
             Self::Hybrid => "hybrid",
         }
     }
@@ -81,28 +64,21 @@ impl DelineationStrategy {
         Self::ALL.into_iter().find(|v| v.name() == s)
     }
 
-    /// Stable byte code for the serialized snapshot codec.
+    /// Stable byte code. Codes 1 and 2 belonged to the retired
+    /// stand-alone ReBeatICG and weighted-B strategies and are never
+    /// reused.
     #[must_use]
     pub fn code(self) -> u8 {
         match self {
             Self::Classic => 0,
-            Self::ReBeatIcg => 1,
-            Self::WeightedWindowB => 2,
             Self::Hybrid => 3,
         }
     }
 
-    /// Inverse of [`Self::code`].
+    /// Inverse of [`Self::code`]; `None` for an unknown or retired code.
     #[must_use]
     pub fn from_code(code: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|v| v.code() == code)
-    }
-
-    /// `true` when the strategy's B point uses the adaptive weighted
-    /// window (and therefore carries cross-beat [`StrategyState`]).
-    #[must_use]
-    pub fn uses_weighted_b(self) -> bool {
-        matches!(self, Self::WeightedWindowB | Self::Hybrid)
     }
 }
 
@@ -112,9 +88,9 @@ impl std::fmt::Display for DelineationStrategy {
     }
 }
 
-/// Cross-beat delineation state: the weighted-window strategies adapt
-/// their expected R→B interval as an EMA over accepted beats. `Classic`
-/// and `ReBeatIcg` never read or write it.
+/// Cross-beat delineation state: the weighted-window B of `Hybrid`
+/// adapts its expected R→B interval as an EMA over accepted beats.
+/// `Classic` never reads or writes it.
 ///
 /// The state advances only on *successful* detections, in beat order —
 /// the batch pipeline and the streaming delineator therefore walk the
@@ -161,6 +137,11 @@ mod tests {
         }
         assert_eq!(DelineationStrategy::parse("nope"), None);
         assert_eq!(DelineationStrategy::from_code(255), None);
+        // The retired strategies' names and codes no longer resolve.
+        for (name, code) in [("rebeat", 1), ("weighted-b", 2)] {
+            assert_eq!(DelineationStrategy::parse(name), None);
+            assert_eq!(DelineationStrategy::from_code(code), None);
+        }
     }
 
     #[test]

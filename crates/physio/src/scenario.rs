@@ -104,9 +104,11 @@ impl PairedRecording {
     ///
     /// # Errors
     ///
-    /// Propagates parameter errors from the underlying physiological
-    /// models (heart rate out of range, duration too short, invalid
-    /// artifact bands).
+    /// Returns [`PhysioError::InvalidParameter`] for a non-positive or
+    /// non-finite injection frequency or sampling rate, or a non-finite
+    /// duration, and propagates parameter errors from the underlying
+    /// physiological models (heart rate out of range, duration too
+    /// short, invalid artifact bands).
     pub fn generate(
         subject: &Subject,
         position: Position,
@@ -119,6 +121,22 @@ impl PairedRecording {
                 name: "injection_freq_hz",
                 value: injection_freq_hz,
                 constraint: "must be positive and finite",
+            });
+        }
+        if !(protocol.fs > 0.0 && protocol.fs.is_finite()) {
+            return Err(PhysioError::InvalidParameter {
+                name: "fs",
+                value: protocol.fs,
+                constraint: "must be positive and finite",
+            });
+        }
+        // A non-finite duration would size every channel from a
+        // saturated or zero cast of `duration_s * fs`.
+        if !protocol.duration_s.is_finite() {
+            return Err(PhysioError::InvalidParameter {
+                name: "duration_s",
+                value: protocol.duration_s,
+                constraint: "must be finite",
             });
         }
         let n = protocol.samples();
@@ -368,6 +386,35 @@ mod tests {
         let p = Protocol::paper_default();
         assert!(PairedRecording::generate(&subject(), Position::One, 0.0, &p, 1).is_err());
         assert!(PairedRecording::generate(&subject(), Position::One, f64::NAN, &p, 1).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_duration_and_rate() {
+        for duration_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let p = Protocol {
+                duration_s,
+                ..Protocol::paper_default()
+            };
+            let err =
+                PairedRecording::generate(&subject(), Position::One, 50_000.0, &p, 1).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PhysioError::InvalidParameter {
+                        name: "duration_s",
+                        ..
+                    }
+                ),
+                "{duration_s}: {err:?}"
+            );
+        }
+        for fs in [0.0, f64::NAN, f64::INFINITY] {
+            let p = Protocol {
+                fs,
+                ..Protocol::paper_default()
+            };
+            assert!(PairedRecording::generate(&subject(), Position::One, 50_000.0, &p, 1).is_err());
+        }
     }
 
     #[test]

@@ -142,29 +142,6 @@ impl Subject {
         self.sensor_noise_rms_ohm
     }
 
-    /// Returns a copy of this subject with thoracic fluid accumulation:
-    /// `excess_fluid_fraction = 0.1` lowers the thoracic impedance by
-    /// ~10 % (fluid is conductive), which is the decompensation signature
-    /// the paper's CHF use case watches for. Cardiac timing and the arms
-    /// are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysioError::InvalidParameter`] for a fraction outside
-    /// `[0, 0.5]`.
-    pub fn with_fluid_overload(&self, excess_fluid_fraction: f64) -> Result<Self, PhysioError> {
-        if !(0.0..=0.5).contains(&excess_fluid_fraction) {
-            return Err(PhysioError::InvalidParameter {
-                name: "excess_fluid_fraction",
-                value: excess_fluid_fraction,
-                constraint: "must be within [0, 0.5]",
-            });
-        }
-        let mut out = self.clone();
-        out.thorax = self.thorax.scaled(1.0 - excess_fluid_fraction)?;
-        Ok(out)
-    }
-
     /// The body path seen by the traditional chest configuration.
     #[must_use]
     pub fn traditional_path(&self) -> BodyPath {

@@ -81,42 +81,6 @@ impl ColeCole {
         self.r_inf
     }
 
-    /// Characteristic time constant τ in seconds.
-    #[must_use]
-    pub fn tau_s(&self) -> f64 {
-        self.tau_s
-    }
-
-    /// Dispersion broadening exponent α.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// A copy with both resistances scaled by `factor` (same dispersion).
-    /// Scaling down models fluid accumulation (more conductive tissue),
-    /// scaling up dehydration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysioError::InvalidParameter`] for a non-positive
-    /// factor.
-    pub fn scaled(&self, factor: f64) -> Result<Self, PhysioError> {
-        if !(factor > 0.0 && factor.is_finite()) {
-            return Err(PhysioError::InvalidParameter {
-                name: "factor",
-                value: factor,
-                constraint: "must be positive and finite",
-            });
-        }
-        Self::new(
-            self.r0 * factor,
-            self.r_inf * factor,
-            self.tau_s,
-            self.alpha,
-        )
-    }
-
     /// Complex impedance at frequency `f` hertz, as `(re, im)` ohms.
     #[must_use]
     pub fn impedance_at(&self, f: f64) -> (f64, f64) {

@@ -115,13 +115,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  + baseline high-pass:     {ok}/{} beats ok, LVET MAE {mae:.1} ms",
         lms.len() - 1
     );
-    // the related-work baseline: wavelet respiratory cancellation [16][17]
-    use cardiotouch_icg::artifact::{suppress_artifacts, SuppressionMethod};
-    let wav = suppress_artifacts(&icg, FS, SuppressionMethod::wavelet_default())?;
-    let (ok, mae) = bcx_score(&wav);
-    println!(
-        "  wavelet baseline [16,17]: {ok}/{} beats ok, LVET MAE {mae:.1} ms",
-        lms.len() - 1
-    );
     Ok(())
 }
