@@ -77,7 +77,7 @@ use crate::config::PipelineConfig;
 use crate::scheduler::{MigratedSession, ScheduleReport, SessionFeed, SessionScheduler};
 use crate::snapshot::BeatStreamSnapshot;
 use crate::stream::{BeatStream, QualifiedBeat};
-use crate::wire::{FrontDoor, WireSessionResult};
+use crate::wire::{suffix_replay_failed, FrontDoor, WireSessionResult};
 use crate::CoreError;
 
 /// Default per-shard ingest mailbox capacity (commands, not samples).
@@ -1081,37 +1081,6 @@ impl Fleet {
         }
     }
 
-    /// Feeds one already-logged frame through decode + reassembly and
-    /// shard dispatch *without* re-appending it to the log — the
-    /// suffix-replay half of fleet crash recovery.
-    fn wire_replay_frame(&mut self, frame: &[u8]) {
-        let mut shed: u64 = 0;
-        let Self {
-            senders,
-            health,
-            wire_door,
-            wire_routing,
-            wire_counts,
-            ..
-        } = self;
-        wire_door.replay_frame(frame, |session, ecg, z| {
-            dispatch_wire_run(
-                senders,
-                health,
-                wire_routing,
-                wire_counts,
-                &mut shed,
-                session,
-                ecg,
-                z,
-            );
-        });
-        if shed > 0 {
-            self.rejected.add(shed);
-            self.wire_door.count_shed(shed);
-        }
-    }
-
     /// Decoder and reassembly totals of the wire front door.
     #[must_use]
     pub fn wire_stats(
@@ -1226,16 +1195,19 @@ impl Fleet {
     /// session is restored onto a least-loaded shard from its snapshot
     /// bytes, the reassembler resumes at the watermark, the fleet takes
     /// ownership of the log and the store, and the log suffix past the
-    /// watermark is replayed through the normal dispatch path. Combined
-    /// with the checkpoint-drained beats the caller persisted, the
-    /// collected output is bitwise-equal to the uninterrupted run.
+    /// watermark is replayed straight from the log through the normal
+    /// dispatch path while the shards restore. Combined with the
+    /// checkpoint-drained beats the caller persisted, the collected
+    /// output is bitwise-equal to the uninterrupted run.
     ///
     /// # Errors
     ///
     /// * [`Fleet::new`]'s construction surface;
     /// * [`CoreError::RecoveryFailed`] naming the session for an
-    ///   unusable snapshot, or for a watermark below the oldest retained
-    ///   segment.
+    ///   unusable snapshot, for a watermark below the oldest retained
+    ///   segment (checked before any shard starts), or for a suffix
+    ///   that fails validation (a watermark chain CRC that does not
+    ///   match the log, corruption).
     pub fn recover(
         config: PipelineConfig,
         shards: usize,
@@ -1244,12 +1216,8 @@ impl Fleet {
         checkpoint: &Checkpoint,
         log: SegmentedLog,
     ) -> Result<Self, CoreError> {
-        // Collect the suffix before the front door takes the log.
-        let mut suffix: Vec<Vec<u8>> = Vec::new();
-        log.replay_from(&checkpoint.watermark, |f| suffix.push(f.to_vec()))
-            .map_err(|e| CoreError::RecoveryFailed {
-                reason: format!("suffix replay: {e}"),
-            })?;
+        log.check_retained(&checkpoint.watermark)
+            .map_err(suffix_replay_failed)?;
         let mut fleet = Self::new(config, shards, mailbox_capacity)?;
         fleet.wire_door.install_segmented_log(log);
         fleet.ckpt_store = Some(store);
@@ -1270,11 +1238,36 @@ impl Fleet {
             fleet.wire_counts[shard] += 1;
         }
         fleet.last_ckpt = Some(checkpoint.clone());
-        for frame in &suffix {
-            fleet.wire_replay_frame(frame);
+        // The shards restore in parallel with the replay.
+        let mut shed: u64 = 0;
+        let Self {
+            senders,
+            health,
+            wire_door,
+            wire_routing,
+            wire_counts,
+            ..
+        } = &mut fleet;
+        wire_door
+            .replay_log(&checkpoint.watermark, |session, ecg, z| {
+                dispatch_wire_run(
+                    senders,
+                    health,
+                    wire_routing,
+                    wire_counts,
+                    &mut shed,
+                    session,
+                    ecg,
+                    z,
+                );
+            })
+            .map_err(suffix_replay_failed)?;
+        if shed > 0 {
+            fleet.rejected.add(shed);
+            fleet.wire_door.count_shed(shed);
         }
-        // The shards restore in parallel with the replay; the barrier
-        // surfaces any session whose snapshot they could not restore.
+        // The barrier surfaces any session whose snapshot the shards
+        // could not restore.
         fleet.quiesce()?;
         Ok(fleet)
     }
@@ -1669,9 +1662,7 @@ impl Fleet {
                 }
             }
         })
-        .map_err(|e| CoreError::RecoveryFailed {
-            reason: format!("suffix replay: {e}"),
-        })?;
+        .map_err(suffix_replay_failed)?;
         for (session, ecg, z) in runs {
             self.senders[shard].send(ShardCmd::WireSamples { session, ecg, z });
         }
@@ -2183,5 +2174,65 @@ mod tests {
             Fleet::new(config, 0, 8),
             Err(CoreError::InvalidParameter { name: "shards", .. })
         ));
+    }
+
+    #[test]
+    fn recover_refuses_a_retired_or_mismatched_watermark() {
+        use crate::wire::WireHub;
+        use cardiotouch_ingest::SessionEncoder;
+
+        let config = PipelineConfig::paper_default(250.0);
+        let (ecg, z) = templates();
+        let policy = SegmentPolicy {
+            max_bytes: 16 * 1024,
+            max_frames: 4,
+        };
+        // Segments 5.. are retained; 0..5 were compacted away.
+        let mut log = SegmentedLog::with_base(policy, 5);
+        let mut enc = SessionEncoder::new(0);
+        let mut mark = None;
+        for i in 0..12 {
+            if i == 6 {
+                mark = Some(log.position());
+            }
+            let mut frame = Vec::new();
+            let off = i * 125;
+            enc.push_frame(&ecg[off..off + 125], &z[off..off + 125], &mut frame)
+                .unwrap();
+            log.append(&frame);
+        }
+        let mark = mark.unwrap();
+        let retired = LogPosition {
+            segment: 2,
+            ..log.start_position()
+        };
+        let mismatched = LogPosition {
+            chain: mark.chain ^ 1,
+            ..mark
+        };
+        for (watermark, want) in [
+            (retired, "segment 2 was compacted away"),
+            (mismatched, "chain CRC mismatch"),
+        ] {
+            let checkpoint = Checkpoint {
+                watermark,
+                sessions: Vec::new(),
+            };
+            let fleet = Fleet::recover(
+                config,
+                2,
+                64,
+                CheckpointStore::new(),
+                &checkpoint,
+                log.clone(),
+            );
+            let hub = WireHub::recover(config, &checkpoint, log.clone());
+            for err in [fleet.err(), hub.err()] {
+                assert!(
+                    matches!(&err, Some(CoreError::RecoveryFailed { reason }) if reason.contains(want)),
+                    "{watermark:?}: {err:?}"
+                );
+            }
+        }
     }
 }

@@ -33,8 +33,9 @@
 use std::collections::BTreeMap;
 
 use cardiotouch_ingest::{
-    Assembler, AssemblyStats, Checkpoint, CheckpointStore, DecodeStats, IngestLog, LogPosition,
-    SegmentPolicy, SegmentedLog, SessionCheckpoint, SessionResume, WireDecoder,
+    Assembler, AssemblyStats, Checkpoint, CheckpointStore, DecodeStats, IngestLog, LogError,
+    LogPosition, SegmentPolicy, SegmentedLog, SessionCheckpoint, SessionResume, SuffixReplay,
+    WireDecoder,
 };
 
 use crate::config::PipelineConfig;
@@ -181,18 +182,42 @@ impl FrontDoor {
         self.flush_counters();
     }
 
-    /// Feeds one already-logged frame through decode + reassembly
-    /// *without* re-appending it to the log — the suffix-replay half of
-    /// crash recovery, where the frame is in the log by definition.
-    pub fn replay_frame<F>(&mut self, frame: &[u8], mut sink: F)
+    /// Replays the installed segmented log from `from` through decode +
+    /// reassembly *without* re-appending any frame — the suffix-replay
+    /// half of crash recovery, where every frame is in the log by
+    /// definition. Each logged frame goes straight from the log into
+    /// the decoder; nothing is copied. `sink` fires as in
+    /// [`FrontDoor::push`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`SegmentedLog::replay_from`] returns, or
+    /// [`LogError::MissingSegment`] when no segmented log is installed.
+    /// Frames before a violation have already reached `sink`.
+    pub fn replay_log<F>(
+        &mut self,
+        from: &LogPosition,
+        mut sink: F,
+    ) -> Result<SuffixReplay, LogError>
     where
         F: FnMut(u32, &[f64], &[f64]),
     {
         let Self {
-            decoder, assembler, ..
+            decoder,
+            assembler,
+            log,
+            ..
         } = self;
-        decoder.push(frame, |f| assembler.accept(&f, &mut sink));
+        let Some(LogSink::Segmented(log)) = log.as_ref() else {
+            return Err(LogError::MissingSegment {
+                segment: from.segment,
+            });
+        };
+        let replay = log.replay_from(from, |frame| {
+            decoder.push(frame, |f| assembler.accept(&f, &mut sink));
+        })?;
         self.flush_counters();
+        Ok(replay)
     }
 
     /// Adds everything accumulated since the last flush to the
@@ -537,24 +562,24 @@ impl WireHub {
     /// Rebuilds a hub from a recovered checkpoint and the (possibly
     /// crash-cut) segmented log it watermarks: restores every session's
     /// engine snapshot and reassembly window, takes ownership of the
-    /// log, then replays the suffix past the watermark. Beats the
-    /// replay re-emits accumulate in the sessions exactly as the
-    /// uninterrupted run would have emitted them after the checkpoint.
+    /// log, then replays the suffix past the watermark straight from
+    /// the log. Beats the replay re-emits accumulate in the sessions
+    /// exactly as the uninterrupted run would have emitted them after
+    /// the checkpoint.
     ///
     /// # Errors
     ///
-    /// [`CoreError::RecoveryFailed`] for an unusable snapshot or a
-    /// watermark below the oldest retained segment.
+    /// [`CoreError::RecoveryFailed`] for a watermark below the oldest
+    /// retained segment (checked before anything is restored), an
+    /// unusable snapshot, or a suffix that fails validation (a
+    /// watermark chain CRC that does not match the log, corruption).
     pub fn recover(
         config: PipelineConfig,
         checkpoint: &Checkpoint,
         log: SegmentedLog,
     ) -> Result<Self, CoreError> {
-        let mut suffix: Vec<Vec<u8>> = Vec::new();
-        log.replay_from(&checkpoint.watermark, |f| suffix.push(f.to_vec()))
-            .map_err(|e| CoreError::RecoveryFailed {
-                reason: format!("suffix replay: {e}"),
-            })?;
+        log.check_retained(&checkpoint.watermark)
+            .map_err(suffix_replay_failed)?;
         let mut hub = Self::build(config, FrontDoor::new())?;
         hub.door.install_segmented_log(log);
         for sc in &checkpoint.sessions {
@@ -582,8 +607,8 @@ impl WireHub {
         let config = hub.config;
         let sessions = &mut hub.sessions;
         let deferred = &mut hub.deferred;
-        for frame in &suffix {
-            hub.door.replay_frame(frame, |session, ecg, z| {
+        hub.door
+            .replay_log(&checkpoint.watermark, |session, ecg, z| {
                 if deferred.is_some() {
                     return;
                 }
@@ -595,8 +620,8 @@ impl WireHub {
                     Ok(mut beats) => slot.beats.append(&mut beats),
                     Err(e) => *deferred = Some(e),
                 }
-            });
-        }
+            })
+            .map_err(suffix_replay_failed)?;
         if let Some(e) = hub.deferred.take() {
             return Err(e);
         }
@@ -608,6 +633,13 @@ impl WireHub {
     #[must_use]
     pub fn segmented_log(&self) -> Option<&SegmentedLog> {
         self.door.segmented_log()
+    }
+}
+
+/// The recovery error for an ingest-log suffix that cannot be replayed.
+pub(crate) fn suffix_replay_failed(e: LogError) -> CoreError {
+    CoreError::RecoveryFailed {
+        reason: format!("suffix replay: {e}"),
     }
 }
 

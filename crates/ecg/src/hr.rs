@@ -66,12 +66,6 @@ impl RrSeries {
         let mean_rr = self.intervals_s.iter().sum::<f64>() / self.intervals_s.len() as f64;
         60.0 / mean_rr
     }
-
-    /// Instantaneous heart rate per interval, beats per minute.
-    #[must_use]
-    pub fn instantaneous_hr_bpm(&self) -> Vec<f64> {
-        self.intervals_s.iter().map(|rr| 60.0 / rr).collect()
-    }
 }
 
 #[cfg(test)]
@@ -85,16 +79,6 @@ mod tests {
         let rr = RrSeries::from_peaks(&peaks, 250.0).unwrap();
         assert!((rr.mean_hr_bpm() - 60.0).abs() < 1e-12);
         assert_eq!(rr.intervals_s.len(), 9);
-    }
-
-    #[test]
-    fn instantaneous_hr_tracks_interval_changes() {
-        let peaks = [0usize, 250, 450, 700];
-        let rr = RrSeries::from_peaks(&peaks, 250.0).unwrap();
-        let inst = rr.instantaneous_hr_bpm();
-        assert!((inst[0] - 60.0).abs() < 1e-9);
-        assert!((inst[1] - 75.0).abs() < 1e-9);
-        assert!((inst[2] - 60.0).abs() < 1e-9);
     }
 
     #[test]

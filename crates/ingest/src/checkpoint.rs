@@ -324,6 +324,11 @@ impl CheckpointStore {
     /// checkpoint in that prefix, exactly as [`recover_latest`] would.
     /// Empty input reopens as a fresh store.
     ///
+    /// One CRC walk serves both halves: the prefix it validates is
+    /// copied once, and only the newest entries are decoded (see
+    /// [`recover_latest`]). The chain continues from the last
+    /// CRC-valid entry even when that entry does not decode.
+    ///
     /// # Errors
     ///
     /// * [`LogError::BadHeader`] when non-empty input lacks the magic.
@@ -331,30 +336,13 @@ impl CheckpointStore {
         if data.is_empty() {
             return Ok((Self::new(), None));
         }
-        let newest = recover_latest(data)?;
-        let mut store = Self::new();
-        let mut pos = CHECKPOINT_MAGIC.len();
-        loop {
-            let rest = &data[pos..];
-            if rest.len() < 6 {
-                break;
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_CHECKPOINT_ENTRY || rest.len() < 6 + len {
-                break;
-            }
-            let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
-            let payload = &rest[6..6 + len];
-            let computed = crc16_update(crc16_update(0xFFFF, &store.chain.to_le_bytes()), payload);
-            if stored != computed {
-                break;
-            }
-            store.buf.extend_from_slice(&rest[..6 + len]);
-            store.chain = stored;
-            store.entries += 1;
-            pos += 6 + len;
-        }
-        Ok((store, newest))
+        let prefix = ValidPrefix::walk(data)?;
+        let store = Self {
+            buf: data[..prefix.end].to_vec(),
+            chain: prefix.chain,
+            entries: prefix.payloads.len() as u64,
+        };
+        Ok((store, prefix.newest_decodable(data)))
     }
 }
 
@@ -369,11 +357,81 @@ pub struct RecoveredCheckpoint {
     pub entries: u64,
 }
 
-/// Walks a serialized store front to back, validating the CRC chain,
-/// and returns the newest decodable checkpoint in the longest valid
-/// prefix — the crash-recovery entry point. An interrupted final append
-/// simply falls back one checkpoint. `Ok(None)` for an empty store
-/// (header only) or empty input.
+/// The longest CRC-valid prefix of a serialized store: where it ends,
+/// the chain CRC there, and the payload span of every entry in it.
+struct ValidPrefix {
+    end: usize,
+    chain: u16,
+    payloads: Vec<std::ops::Range<usize>>,
+}
+
+impl ValidPrefix {
+    /// Validates the magic and walks the CRC chain front to back once,
+    /// stopping at the first cut tail, oversize length or chain
+    /// mismatch. Decodes nothing.
+    fn walk(data: &[u8]) -> Result<Self, LogError> {
+        if data.len() < CHECKPOINT_MAGIC.len() || data[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
+        {
+            return Err(LogError::BadHeader);
+        }
+        let mut pos = CHECKPOINT_MAGIC.len();
+        let mut chain = crc16(&CHECKPOINT_MAGIC);
+        let mut payloads = Vec::new();
+        while pos < data.len() {
+            let rest = &data[pos..];
+            if rest.len() < 6 {
+                break; // crash-cut tail
+            }
+            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+            if len > MAX_CHECKPOINT_ENTRY || rest.len() < 6 + len {
+                break; // corrupt length or crash-cut tail
+            }
+            let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
+            let computed = crc16_update(
+                crc16_update(0xFFFF, &chain.to_le_bytes()),
+                &rest[6..6 + len],
+            );
+            if stored != computed {
+                break; // corruption: trust only the prefix
+            }
+            chain = stored;
+            payloads.push(pos + 6..pos + 6 + len);
+            pos += 6 + len;
+        }
+        Ok(Self {
+            end: pos,
+            chain,
+            payloads,
+        })
+    }
+
+    /// Decodes from the newest valid entry backward and returns the
+    /// first that decodes — older entries are never touched when the
+    /// newest one is intact.
+    fn newest_decodable(&self, data: &[u8]) -> Option<RecoveredCheckpoint> {
+        self.payloads
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(index, span)| {
+                let index = index as u64;
+                decode_checkpoint(&data[span.clone()]).map(|checkpoint| RecoveredCheckpoint {
+                    checkpoint,
+                    index,
+                    entries: index + 1,
+                })
+            })
+    }
+}
+
+/// Returns the newest decodable checkpoint in the longest CRC-valid
+/// prefix of a serialized store — the crash-recovery entry point. An
+/// interrupted final append simply falls back one checkpoint. The CRC
+/// chain is validated front to back once; entries are then decoded
+/// from the newest backward, stopping at the first that decodes, so a
+/// CRC-valid entry that does not decode falls back to the one before
+/// it. `Ok(None)` for an empty store (header only), empty input, or a
+/// prefix in which nothing decodes.
 ///
 /// # Errors
 ///
@@ -382,43 +440,7 @@ pub fn recover_latest(data: &[u8]) -> Result<Option<RecoveredCheckpoint>, LogErr
     if data.is_empty() {
         return Ok(None);
     }
-    if data.len() < CHECKPOINT_MAGIC.len() || data[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-        return Err(LogError::BadHeader);
-    }
-    let mut pos = CHECKPOINT_MAGIC.len();
-    let mut chain = crc16(&CHECKPOINT_MAGIC);
-    let mut newest: Option<RecoveredCheckpoint> = None;
-    let mut index = 0u64;
-    while pos < data.len() {
-        let rest = &data[pos..];
-        if rest.len() < 6 {
-            break; // crash-cut tail
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_CHECKPOINT_ENTRY {
-            break;
-        }
-        let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
-        if rest.len() < 6 + len {
-            break; // crash-cut tail
-        }
-        let payload = &rest[6..6 + len];
-        let computed = crc16_update(crc16_update(0xFFFF, &chain.to_le_bytes()), payload);
-        if stored != computed {
-            break; // corruption: trust only the prefix
-        }
-        chain = stored;
-        pos += 6 + len;
-        if let Some(checkpoint) = decode_checkpoint(payload) {
-            newest = Some(RecoveredCheckpoint {
-                checkpoint,
-                index,
-                entries: index + 1,
-            });
-        }
-        index += 1;
-    }
-    Ok(newest)
+    Ok(ValidPrefix::walk(data)?.newest_decodable(data))
 }
 
 #[cfg(test)]

@@ -171,18 +171,18 @@ impl IngestLog {
     ///
     /// * [`LogError::BadHeader`] when the magic is absent.
     pub fn from_valid_prefix(data: &[u8]) -> Result<(Self, Option<LogError>), LogError> {
-        let mut reader = LogReader::new(data)?;
-        while reader.next_frame().is_some() {}
-        let trimmed = reader.error();
-        let prefix = reader.valid_prefix_len();
-        Ok((
-            Self {
-                buf: data[..prefix].to_vec(),
-                chain: reader.chain,
-                frames: reader.frames,
-            },
-            trimmed,
-        ))
+        let prefix = LogPrefix::scan(data)?;
+        Ok((Self::from_scanned(data, &prefix), prefix.trimmed))
+    }
+
+    /// The writer over the valid prefix of `data` that
+    /// [`LogPrefix::scan`] found there; copies the prefix once.
+    pub(crate) fn from_scanned(data: &[u8], prefix: &LogPrefix) -> Self {
+        Self {
+            buf: data[..prefix.len].to_vec(),
+            chain: prefix.chain,
+            frames: prefix.frames,
+        }
     }
 
     /// The serialized log, header included.
@@ -195,6 +195,35 @@ impl IngestLog {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// Where a serialized log's longest valid prefix ends, found by one
+/// validating walk that copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LogPrefix {
+    len: usize,
+    chain: u16,
+    frames: u64,
+    /// The violation that ends the prefix before the data ends, if any.
+    pub(crate) trimmed: Option<LogError>,
+}
+
+impl LogPrefix {
+    /// Validates `data` front to back, stopping at the first violation.
+    ///
+    /// # Errors
+    ///
+    /// * [`LogError::BadHeader`] when the magic is absent.
+    pub(crate) fn scan(data: &[u8]) -> Result<Self, LogError> {
+        let mut reader = LogReader::new(data)?;
+        while reader.next_frame().is_some() {}
+        Ok(Self {
+            len: reader.valid_prefix_len(),
+            chain: reader.chain,
+            frames: reader.frames,
+            trimmed: reader.error(),
+        })
     }
 }
 

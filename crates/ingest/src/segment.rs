@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use crate::log::{IngestLog, LogError, LogReader, LOG_MAGIC};
+use crate::log::{IngestLog, LogError, LogPrefix, LogReader, LOG_MAGIC};
 
 /// Rotation bounds for one segment. A segment rotates when appending
 /// one more frame would exceed either bound (a segment always accepts
@@ -149,10 +149,16 @@ impl SegmentedLog {
     /// keeps its longest valid prefix (an interrupted append cuts only
     /// the active segment's tail).
     ///
+    /// Each segment restarts its chain from its own header, so the
+    /// segments' CRC chains are validated independently, on up to
+    /// [`std::thread::available_parallelism`] scoped threads, and the
+    /// valid prefixes are then copied on the calling thread. The error
+    /// returned is the one a front-to-back walk meets first.
+    ///
     /// # Errors
     ///
-    /// * [`LogError::BadHeader`] for an empty input or a segment whose
-    ///   magic is absent;
+    /// * [`LogError::BadHeader`] for an empty input, ids out of order,
+    ///   or a segment whose magic is absent;
     /// * the first violation inside a non-final segment.
     pub fn from_segments(
         policy: SegmentPolicy,
@@ -161,23 +167,48 @@ impl SegmentedLog {
         if parts.is_empty() {
             return Err(LogError::BadHeader);
         }
-        let mut segments = VecDeque::new();
+        let workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(parts.len());
+        let per_worker = parts.len().div_ceil(workers);
+        let validated: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .chunks(per_worker)
+                .map(|group| {
+                    scope.spawn(move || {
+                        group
+                            .iter()
+                            .map(|(_, bytes)| LogPrefix::scan(bytes))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("segment validation does not panic"))
+                .collect()
+        });
+        let mut segments = VecDeque::with_capacity(parts.len());
         let mut appended = 0u64;
         let mut appended_bytes = 0u64;
         let last = parts.len() - 1;
         let mut prev_id: Option<u64> = None;
-        for (i, (id, bytes)) in parts.iter().enumerate() {
+        for (i, ((id, bytes), scanned)) in parts.iter().zip(validated).enumerate() {
             if prev_id.is_some_and(|p| *id <= p) {
                 return Err(LogError::BadHeader);
             }
             prev_id = Some(*id);
-            let (log, trimmed) = IngestLog::from_valid_prefix(bytes)?;
-            if let Some(e) = trimmed {
+            let prefix = scanned?;
+            if let Some(e) = prefix.trimmed {
                 // Only the active segment may carry a crash cut.
                 if i != last {
                     return Err(e);
                 }
             }
+            // Copied on this thread: the copies outlive the scoped
+            // threads, and memory allocated on them would stay in
+            // their allocator arenas after they exit.
+            let log = IngestLog::from_scanned(bytes, &prefix);
             appended += log.frames();
             appended_bytes += (log.byte_len() - LOG_MAGIC.len()) as u64;
             segments.push_back(Segment { id: *id, log });
@@ -266,6 +297,24 @@ impl SegmentedLog {
         n
     }
 
+    /// Checks that `from` points into a retained segment — the
+    /// precondition [`SegmentedLog::replay_from`] checks first, cheap
+    /// enough for a recovery to check before it starts any other work.
+    ///
+    /// # Errors
+    ///
+    /// * [`LogError::MissingSegment`] when `from` points below the
+    ///   oldest retained segment (the compaction invariant was broken).
+    pub fn check_retained(&self, from: &LogPosition) -> Result<(), LogError> {
+        let oldest = self.segments.front().expect("non-empty").id;
+        if from.segment < oldest {
+            return Err(LogError::MissingSegment {
+                segment: from.segment,
+            });
+        }
+        Ok(())
+    }
+
     /// Replays every retained frame past `from`, calling `f` once per
     /// frame. A watermark at or past a crash cut simply has nothing to
     /// replay there; the re-feed path covers the remainder.
@@ -280,12 +329,7 @@ impl SegmentedLog {
     where
         F: FnMut(&[u8]),
     {
-        let oldest = self.segments.front().expect("non-empty").id;
-        if from.segment < oldest {
-            return Err(LogError::MissingSegment {
-                segment: from.segment,
-            });
-        }
+        self.check_retained(from)?;
         let mut frames = 0u64;
         let mut truncated = false;
         let last_idx = self.segments.len() - 1;
@@ -484,6 +528,41 @@ mod tests {
         let keep = cut_inner[0].1.len() - 3;
         cut_inner[0].1.truncate(keep);
         assert!(SegmentedLog::from_segments(tiny_policy(), &cut_inner).is_err());
+    }
+
+    #[test]
+    fn from_segments_reports_the_first_bad_segment_in_order() {
+        let mut log = SegmentedLog::new(tiny_policy());
+        for seq in 0..20 {
+            log.append(&sample_frame(seq));
+        }
+        let parts: Vec<(u64, Vec<u8>)> = log
+            .segments()
+            .map(|s| (s.id(), s.bytes().to_vec()))
+            .collect();
+        assert!(parts.len() >= 6);
+        // A flipped byte in segment 2, a cut in segment 4 and ids out of
+        // order at 5: the walk in segment order meets segment 2 first,
+        // whichever thread validated which segment.
+        let mut bad = parts.clone();
+        let at = bad[2].1.len() - 3;
+        bad[2].1[at] ^= 0x40;
+        let keep = bad[4].1.len() - 3;
+        bad[4].1.truncate(keep);
+        bad[5].0 = 0;
+        let (_, first) = IngestLog::from_valid_prefix(&bad[2].1).unwrap();
+        assert!(matches!(first, Some(LogError::ChainMismatch { .. })));
+        assert_eq!(
+            SegmentedLog::from_segments(tiny_policy(), &bad).err(),
+            first
+        );
+        // Ids out of order before any corruption win instead.
+        let mut disorder_first = bad;
+        disorder_first[1].0 = 0;
+        assert_eq!(
+            SegmentedLog::from_segments(tiny_policy(), &disorder_first).err(),
+            Some(LogError::BadHeader)
+        );
     }
 
     #[test]

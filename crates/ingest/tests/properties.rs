@@ -3,15 +3,20 @@
 //! and never-panics / bounded-loss behaviour on truncated, bit-flipped
 //! and garbage-prefixed streams.
 
-use cardiotouch_ingest::checkpoint::{recover_latest, Checkpoint, CheckpointStore};
-use cardiotouch_ingest::frame::MAX_FRAME_LEN;
+use cardiotouch_ingest::checkpoint::{
+    decode_checkpoint, encode_checkpoint, recover_latest, Checkpoint, CheckpointStore,
+    RecoveredCheckpoint, SessionCheckpoint, CHECKPOINT_MAGIC, MAX_CHECKPOINT_ENTRY,
+};
+use cardiotouch_ingest::frame::{crc16, crc16_update, MAX_FRAME_LEN};
 use cardiotouch_ingest::log::LOG_MAGIC;
 use cardiotouch_ingest::segment::{SegmentPolicy, SegmentedLog};
 use cardiotouch_ingest::{
-    encode_frame, Assembler, FrameView, IngestLog, LogReader, LossyWire, SessionEncoder,
-    WireDecoder, HEADER_LEN,
+    encode_frame, Assembler, FrameView, IngestLog, LogError, LogPosition, LogReader, LossyWire,
+    SessionEncoder, SessionResume, WireDecoder, HEADER_LEN,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Encodes `n` frames of `len` deterministic samples for one session,
 /// returning the wire bytes and each frame's start offset.
@@ -382,5 +387,229 @@ proptest! {
         recovered_stream.extend(suffix);
         // replay(checkpoint + suffix) == replay(full log), bitwise.
         prop_assert_eq!(recovered_stream, frames);
+    }
+}
+
+/// CRC-16/CCITT-FALSE by its definition: one byte at a time, eight
+/// shift/xor steps per byte — the reference the sliced fold must equal.
+fn crc16_bit_loop(mut crc: u16, data: &[u8]) -> u16 {
+    for &b in data {
+        crc ^= u16::from(b) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+        }
+    }
+    crc
+}
+
+/// The store reopen as it was before a single walk served both halves:
+/// `recover_latest` walks the CRC chain decoding every valid entry, and
+/// the reopen walks it again to copy the prefix. Returns the newest
+/// checkpoint, the reopened bytes, their chain CRC and entry count.
+type TwoWalkReopen = (Option<RecoveredCheckpoint>, Vec<u8>, u16, u64);
+
+fn two_walk_reopen(data: &[u8]) -> Result<TwoWalkReopen, LogError> {
+    let fresh_chain = crc16(&CHECKPOINT_MAGIC);
+    if data.is_empty() {
+        return Ok((None, CHECKPOINT_MAGIC.to_vec(), fresh_chain, 0));
+    }
+    if data.len() < CHECKPOINT_MAGIC.len() || data[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
+        return Err(LogError::BadHeader);
+    }
+    // Walk 1: newest decodable entry, decoding every valid one.
+    let mut pos = CHECKPOINT_MAGIC.len();
+    let mut chain = fresh_chain;
+    let mut newest = None;
+    let mut index = 0u64;
+    while pos < data.len() {
+        let rest = &data[pos..];
+        if rest.len() < 6 {
+            break;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_CHECKPOINT_ENTRY {
+            break;
+        }
+        let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
+        if rest.len() < 6 + len {
+            break;
+        }
+        let payload = &rest[6..6 + len];
+        if stored != crc16_update(crc16_update(0xFFFF, &chain.to_le_bytes()), payload) {
+            break;
+        }
+        chain = stored;
+        pos += 6 + len;
+        if let Some(checkpoint) = decode_checkpoint(payload) {
+            newest = Some(RecoveredCheckpoint {
+                checkpoint,
+                index,
+                entries: index + 1,
+            });
+        }
+        index += 1;
+    }
+    // Walk 2: copy the valid prefix entry by entry.
+    let mut buf = CHECKPOINT_MAGIC.to_vec();
+    let mut chain = fresh_chain;
+    let mut entries = 0u64;
+    let mut pos = CHECKPOINT_MAGIC.len();
+    loop {
+        let rest = &data[pos..];
+        if rest.len() < 6 {
+            break;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_CHECKPOINT_ENTRY || rest.len() < 6 + len {
+            break;
+        }
+        let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
+        let payload = &rest[6..6 + len];
+        if stored != crc16_update(crc16_update(0xFFFF, &chain.to_le_bytes()), payload) {
+            break;
+        }
+        buf.extend_from_slice(&rest[..6 + len]);
+        chain = stored;
+        entries += 1;
+        pos += 6 + len;
+    }
+    Ok((newest, buf, chain, entries))
+}
+
+/// Appends one raw entry (length, chain CRC, payload) to store bytes —
+/// how a test writes an entry that is CRC-valid but does not decode.
+fn raw_store_entry(buf: &mut Vec<u8>, chain: &mut u16, payload: &[u8]) {
+    *chain = crc16_update(crc16_update(0xFFFF, &chain.to_le_bytes()), payload);
+    buf.extend_from_slice(
+        &u32::try_from(payload.len())
+            .expect("fits u32")
+            .to_le_bytes(),
+    );
+    buf.extend_from_slice(&chain.to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Uniform in `0..n` (`n > 0`).
+fn below(rng: &mut StdRng, n: usize) -> usize {
+    (rng.gen::<u64>() % n as u64) as usize
+}
+
+fn random_bytes(rng: &mut StdRng, max_len: usize) -> Vec<u8> {
+    let n = below(rng, max_len + 1);
+    (0..n).map(|_| rng.gen::<u64>() as u8).collect()
+}
+
+/// A random checkpoint of 0-2 sessions with small parked payloads and
+/// snapshots — the codec, not the engine, is under test.
+fn random_checkpoint(rng: &mut StdRng) -> Checkpoint {
+    let sessions = (0..below(rng, 3))
+        .map(|_| SessionCheckpoint {
+            session: rng.gen(),
+            resume: SessionResume {
+                started: rng.gen(),
+                next_seq: rng.gen::<u32>() as u16,
+                last_n: below(rng, 300),
+                parked: (0..below(rng, 4))
+                    .map(|_| rng.gen::<bool>().then(|| random_bytes(rng, 12)))
+                    .collect(),
+            },
+            snapshot: random_bytes(rng, 64),
+        })
+        .collect();
+    Checkpoint {
+        watermark: LogPosition {
+            segment: rng.gen(),
+            offset: rng.gen::<u32>() as usize,
+            chain: rng.gen::<u32>() as u16,
+            frames: rng.gen(),
+        },
+        sessions,
+    }
+}
+
+// The oracle properties share the `oracle_` prefix so CI can run them
+// alone in release with a large `PROPTEST_CASES`.
+proptest! {
+    #[test]
+    fn oracle_crc16_fold_equals_bit_loop(
+        data in prop::collection::vec(any::<u8>(), 0..=5000),
+        init in any::<u16>(),
+        short in 0usize..48,
+        split in any::<u64>(),
+    ) {
+        prop_assert_eq!(crc16_update(init, &data), crc16_bit_loop(init, &data));
+        // Short and odd lengths: the tail path alone and the seam
+        // between sixteen-byte chunks and the tail.
+        let head = &data[..short.min(data.len())];
+        prop_assert_eq!(crc16_update(init, head), crc16_bit_loop(init, head));
+        // Continuing from a running value at any split point.
+        let k = split as usize % (data.len() + 1);
+        prop_assert_eq!(
+            crc16_update(crc16_update(init, &data[..k]), &data[k..]),
+            crc16_bit_loop(init, &data)
+        );
+    }
+
+    #[test]
+    fn oracle_store_reopen_equals_two_walks(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // 1-5 checkpoints plus one CRC-valid entry whose payload does
+        // not decode (version 0xFFFF), anywhere in the chain.
+        let ckpts: Vec<Checkpoint> = (0..1 + below(&mut rng, 5))
+            .map(|_| random_checkpoint(&mut rng))
+            .collect();
+        let bad_at = below(&mut rng, ckpts.len() + 1);
+        let mut undecodable = vec![0xFF, 0xFF];
+        undecodable.extend(random_bytes(&mut rng, 40));
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        let mut chain = crc16(&CHECKPOINT_MAGIC);
+        for (i, c) in ckpts.iter().enumerate() {
+            if i == bad_at {
+                raw_store_entry(&mut bytes, &mut chain, &undecodable);
+            }
+            raw_store_entry(&mut bytes, &mut chain, &encode_checkpoint(c));
+        }
+        if bad_at == ckpts.len() {
+            raw_store_entry(&mut bytes, &mut chain, &undecodable);
+        }
+        // A crash cut anywhere (often none), then maybe one flipped byte.
+        let cut = if rng.gen::<bool>() {
+            bytes.len()
+        } else {
+            below(&mut rng, bytes.len() + 1)
+        };
+        bytes.truncate(cut);
+        if !bytes.is_empty() && rng.gen::<bool>() {
+            let at = below(&mut rng, bytes.len());
+            bytes[at] ^= 1 + below(&mut rng, 255) as u8;
+        }
+        let next = random_checkpoint(&mut rng);
+
+        let want = two_walk_reopen(&bytes);
+        let got_latest = recover_latest(&bytes);
+        let got_reopen = CheckpointStore::from_valid_prefix(&bytes);
+        match want {
+            Err(e) => {
+                prop_assert_eq!(got_latest.err(), Some(e));
+                prop_assert_eq!(got_reopen.err(), Some(e));
+            }
+            Ok((newest, prefix, prefix_chain, entries)) => {
+                prop_assert_eq!(got_latest.expect("same header verdict"), newest.clone());
+                let (mut store, got_newest) = got_reopen.expect("same header verdict");
+                prop_assert_eq!(got_newest, newest);
+                prop_assert_eq!(store.entries(), entries);
+                prop_assert_eq!(store.as_bytes(), prefix.as_slice());
+                // One more append continues the same chain, byte for byte.
+                let mut expect = prefix;
+                let mut expect_chain = prefix_chain;
+                raw_store_entry(&mut expect, &mut expect_chain, &encode_checkpoint(&next));
+                store.append(&next);
+                prop_assert_eq!(store.as_bytes(), expect.as_slice());
+            }
+        }
     }
 }

@@ -197,19 +197,6 @@ impl BodyPath {
         let tissue: f64 = self.segments.iter().map(|s| s.magnitude_at(f)).sum();
         tissue + self.interface.magnitude_at(f)
     }
-
-    /// The paper's four injection frequencies, in hertz.
-    pub const PAPER_FREQUENCIES_HZ: [f64; 4] = [2_000.0, 10_000.0, 50_000.0, 100_000.0];
-
-    /// Path magnitude sampled at the paper's four injection frequencies.
-    #[must_use]
-    pub fn paper_frequency_profile(&self) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for (o, f) in out.iter_mut().zip(Self::PAPER_FREQUENCIES_HZ) {
-            *o = self.magnitude_at(f);
-        }
-        out
-    }
 }
 
 /// Catalogue of representative segment parameter sets (population means;
@@ -325,18 +312,5 @@ mod tests {
         let chest = BodyPath::new(vec![thorax()], ElectrodePolarization::ideal());
         // hand-to-hand impedance is an order of magnitude above the thorax
         assert!(touch.magnitude_at(50_000.0) > 8.0 * chest.magnitude_at(50_000.0));
-    }
-
-    #[test]
-    fn paper_frequency_profile_is_decreasing_for_pure_tissue() {
-        // Without the device front-end, tissue impedance decreases
-        // monotonically over the paper's frequency sweep. (The measured
-        // rise to 10 kHz in Fig 6/7 is an instrumentation effect modelled
-        // in cardiotouch-device.)
-        let p = BodyPath::new(vec![thorax()], ElectrodePolarization::ideal());
-        let prof = p.paper_frequency_profile();
-        assert!(prof[0] > prof[1]);
-        assert!(prof[1] > prof[2]);
-        assert!(prof[2] > prof[3]);
     }
 }
