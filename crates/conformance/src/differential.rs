@@ -251,7 +251,7 @@ fn run_stream_migrated(
     {
         out.extend(first.push(e, z)?);
     }
-    let bytes = first.snapshot().to_bytes();
+    let bytes = first.snapshot().into_bytes();
     drop(first);
     let snapshot = BeatStreamSnapshot::from_bytes(&bytes)?;
     let mut resumed = BeatStream::restore(config, &snapshot)?;

@@ -149,7 +149,7 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<ReplayReport, ConformanceError
         }
         reference.push(WireSessionResult {
             session: u32::try_from(i).expect("corpus fits u32"),
-            snapshot_bytes: stream.snapshot().to_bytes(),
+            snapshot_bytes: stream.snapshot().into_bytes(),
             states: stream.channel_states(),
             beats,
         });

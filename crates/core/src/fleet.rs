@@ -488,7 +488,7 @@ fn shard_main(
                     .into_iter()
                     .map(|(session, (stream, beats))| WireSessionResult {
                         session,
-                        snapshot_bytes: stream.snapshot().to_bytes(),
+                        snapshot_bytes: stream.snapshot().into_bytes(),
                         states: stream.channel_states(),
                         beats,
                     })
@@ -502,7 +502,7 @@ fn shard_main(
                     .iter_mut()
                     .map(|(&session, (stream, beats))| WireSessionSnapshot {
                         session,
-                        snapshot_bytes: stream.snapshot().to_bytes(),
+                        snapshot_bytes: stream.snapshot().into_bytes(),
                         drained: std::mem::take(beats),
                     })
                     .collect();
@@ -1375,7 +1375,7 @@ impl Fleet {
             all.push(WireSessionResult {
                 session,
                 beats,
-                snapshot_bytes: stream.snapshot().to_bytes(),
+                snapshot_bytes: stream.snapshot().into_bytes(),
                 states: stream.channel_states(),
             });
         }
@@ -1652,20 +1652,22 @@ impl Fleet {
                 }
             }
         }
-        let mut runs: Vec<(u32, Vec<f64>, Vec<f64>)> = Vec::new();
+        // Each run goes to the shard as it is reassembled, in log order.
+        let sender = &self.senders[shard];
         log.replay_from(&from, |frame| {
             if let Ok((view, _)) = FrameView::parse(frame) {
                 if owned_set.contains(&view.session()) {
                     asm.accept(&view, |session, ecg, z| {
-                        runs.push((session, ecg.to_vec(), z.to_vec()));
+                        sender.send(ShardCmd::WireSamples {
+                            session,
+                            ecg: ecg.to_vec(),
+                            z: z.to_vec(),
+                        });
                     });
                 }
             }
         })
         .map_err(suffix_replay_failed)?;
-        for (session, ecg, z) in runs {
-            self.senders[shard].send(ShardCmd::WireSamples { session, ecg, z });
-        }
         Ok(())
     }
 

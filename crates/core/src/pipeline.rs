@@ -63,23 +63,6 @@ pub struct BeatReport {
     pub physiological: bool,
 }
 
-/// Result of the ensemble-mode analysis ([`Pipeline::analyze_ensemble`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnsembleAnalysis {
-    /// Pre-ejection period of the ensemble beat, seconds.
-    pub pep_s: f64,
-    /// Left-ventricular ejection time of the ensemble beat, seconds.
-    pub lvet_s: f64,
-    /// Mean heart rate over the recording, beats per minute.
-    pub hr_bpm: f64,
-    /// Mean base impedance, ohms.
-    pub z0_ohm: f64,
-    /// `(dZ/dt)max` of the ensemble beat, Ω/s.
-    pub dzdt_max: f64,
-    /// Number of beats averaged.
-    pub beats_used: usize,
-}
-
 /// Result of analysing one recording.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
@@ -224,7 +207,7 @@ impl AnalysisScratch {
 
 thread_local! {
     /// Per-thread scratch backing the `&self` convenience entry points
-    /// ([`Pipeline::analyze`], [`Pipeline::analyze_ensemble`]). Thread
+    /// ([`Pipeline::analyze`]). Thread
     /// local so a `Pipeline` shared across a parallel study never
     /// contends or aliases buffers.
     static THREAD_SCRATCH: RefCell<AnalysisScratch> = RefCell::new(AnalysisScratch::new());
@@ -382,64 +365,6 @@ impl Pipeline {
             beats,
             z0_ohm,
             reject_outliers: self.config.reject_outliers,
-        })
-    }
-
-    /// Ensemble-mode analysis: averages all R-aligned beats into one
-    /// template and detects B/C/X **once** on it — the approach of
-    /// commercial ICG monitors, which trades the paper's beat-to-beat
-    /// resolution for √N noise suppression. Useful as the robust fallback
-    /// when the touch signal is too noisy for per-beat detection.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pipeline::analyze`], plus a wrapped ICG error
-    /// when the ensemble template itself defeats point detection.
-    pub fn analyze_ensemble(&self, ecg: &[f64], z: &[f64]) -> Result<EnsembleAnalysis, CoreError> {
-        if ecg.len() != z.len() {
-            return Err(CoreError::ChannelLengthMismatch {
-                ecg_len: ecg.len(),
-                z_len: z.len(),
-            });
-        }
-        let fs = self.config.fs;
-        let conditioned_ecg = self.ecg_conditioner.condition(ecg)?;
-        let r_peaks = self.qrs.detect(&conditioned_ecg)?;
-        let z0_ohm = stats::mean(z).unwrap_or(0.0);
-        let dz = diff::derivative(z, fs)?;
-        let icg_raw: Vec<f64> = dz.iter().map(|v| -v).collect();
-        let conditioned_icg = self.icg_conditioner.condition(&icg_raw)?;
-        if r_peaks.len() < 2 {
-            return Err(CoreError::NotEnoughBeats {
-                found: 0,
-                required: self.config.min_beats,
-            });
-        }
-        let windows = segment_beats(
-            &r_peaks,
-            conditioned_icg.len(),
-            fs,
-            self.config.min_rr_s,
-            self.config.max_rr_s,
-        )?;
-        if windows.len() < self.config.min_beats {
-            return Err(CoreError::NotEnoughBeats {
-                found: windows.len(),
-                required: self.config.min_beats,
-            });
-        }
-        let ensemble =
-            cardiotouch_icg::ensemble::EnsembleBeat::average(&conditioned_icg, &windows)?;
-        let pts = self.detector.detect(ensemble.samples())?;
-        let si = SystolicIntervals::from_points(&pts, fs)?;
-        let hr_bpm = RrSeries::from_peaks(&r_peaks, fs)?.mean_hr_bpm();
-        Ok(EnsembleAnalysis {
-            pep_s: si.pep_s,
-            lvet_s: si.lvet_s,
-            hr_bpm,
-            z0_ohm,
-            dzdt_max: ensemble.samples()[pts.c],
-            beats_used: ensemble.beats_used(),
         })
     }
 
@@ -610,46 +535,6 @@ mod tests {
             p.analyze(&[0.0; 100], &[0.0; 99]),
             Err(CoreError::ChannelLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn ensemble_mode_matches_truth_and_beats_per_beat_mode_under_noise() {
-        use cardiotouch_physio::noise;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let population = Population::reference_five();
-        let rec = PairedRecording::generate(
-            &population.subjects()[0],
-            Position::One,
-            50_000.0,
-            &Protocol::paper_default(),
-            12,
-        )
-        .unwrap();
-        // add heavy in-band noise the per-beat detector struggles with
-        let mut rng = StdRng::seed_from_u64(5);
-        let noise = noise::white(rec.device_z().len(), 0.004, &mut rng);
-        let z: Vec<f64> = rec
-            .device_z()
-            .iter()
-            .zip(&noise)
-            .map(|(a, b)| a + b)
-            .collect();
-        let pipeline = Pipeline::new(PipelineConfig::paper_default(250.0)).unwrap();
-        let ens = pipeline.analyze_ensemble(rec.device_ecg(), &z).unwrap();
-        let truth_lvet =
-            rec.truth().beats.iter().map(|b| b.lvet).sum::<f64>() / rec.truth().beats.len() as f64;
-        assert!(ens.beats_used >= 25);
-        assert!(
-            (ens.lvet_s - truth_lvet).abs() < 0.03,
-            "ensemble LVET {} vs truth {}",
-            ens.lvet_s,
-            truth_lvet
-        );
-        assert!(ens.pep_s > 0.05 && ens.pep_s < 0.2, "{}", ens.pep_s);
-        assert!(ens.dzdt_max > 0.0);
-        assert!((ens.hr_bpm - 68.0).abs() < 4.0);
     }
 
     #[test]

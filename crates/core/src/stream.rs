@@ -26,6 +26,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use cardiotouch_dsp::codec::{Reader, Writer};
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::fir::Fir;
 use cardiotouch_dsp::streaming::{HistoryRing, StreamingDerivative, StreamingZeroPhase};
@@ -37,7 +38,7 @@ use cardiotouch_icg::online::{BeatDelineator, OnlineBeat};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{report_from_points, BeatReport, Pipeline};
-use crate::snapshot::{BeatStreamSnapshot, MonitorState};
+use crate::snapshot::{malformed, BeatStreamSnapshot};
 use crate::CoreError;
 
 /// Per-channel signal condition in the degradation ladder.
@@ -92,6 +93,19 @@ impl SignalState {
             2 => SignalState::Degraded,
             _ => SignalState::Lost,
         }
+    }
+
+    /// Reads a severity byte, refusing any past `Lost`.
+    fn decode_severity(r: &mut Reader<'_>) -> Result<u8, CoreError> {
+        let sev = r.u8()?;
+        if sev > SignalState::Lost.severity() {
+            return Err(CoreError::InvalidParameter {
+                name: "snapshot.severity",
+                value: f64::from(sev),
+                constraint: "a ladder severity runs from 0 (good) to 3 (lost)",
+            });
+        }
+        Ok(sev)
     }
 }
 
@@ -271,27 +285,26 @@ impl ChannelMonitor {
         self.good_run += x.len();
     }
 
-    /// Captures the run counters and machine state (thresholds are
-    /// derived from the configuration and re-computed on restore).
-    fn snapshot(&self) -> MonitorState {
-        MonitorState {
-            severity: self.state.severity(),
-            bad_run: self.bad_run,
-            good_run: self.good_run,
-            flat_run: self.flat_run,
-            last_bits: self.last_bits,
-            run_had_nonfinite: self.run_had_nonfinite,
-        }
+    /// Writes the machine state as its severity, then the run counters
+    /// (thresholds are derived from the configuration).
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.state.severity());
+        w.usize(self.bad_run);
+        w.usize(self.good_run);
+        w.usize(self.flat_run);
+        w.u64(self.last_bits);
+        w.bool(self.run_had_nonfinite);
     }
 
-    /// Overwrites the mutable state from a snapshot.
-    fn restore(&mut self, state: &MonitorState) {
-        self.state = SignalState::from_severity(state.severity);
-        self.bad_run = state.bad_run;
-        self.good_run = state.good_run;
-        self.flat_run = state.flat_run;
-        self.last_bits = state.last_bits;
-        self.run_had_nonfinite = state.run_had_nonfinite;
+    /// Reads the state [`Self::encode`] wrote; untouched on error.
+    fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), CoreError> {
+        let state = SignalState::from_severity(SignalState::decode_severity(r)?);
+        let (bad_run, good_run, flat_run) = (r.usize()?, r.usize()?, r.usize()?);
+        let (last_bits, run_had_nonfinite) = (r.u64()?, r.bool()?);
+        (self.state, self.bad_run, self.good_run) = (state, bad_run, good_run);
+        (self.flat_run, self.last_bits) = (flat_run, last_bits);
+        self.run_had_nonfinite = run_had_nonfinite;
+        Ok(())
     }
 }
 
@@ -934,7 +947,8 @@ impl BeatStream {
 
     /// Captures the complete mutable state of the stream — every filter
     /// delay line, ring buffer, adaptive threshold, ladder counter and
-    /// holdover flag — as plain data ([`BeatStreamSnapshot`]).
+    /// holdover flag — as encoded bytes ([`BeatStreamSnapshot`]): the
+    /// stream's own fields, then each kernel's `encode`.
     ///
     /// Scratch buffers (the refinement filter's span workspace, the
     /// per-hop work vectors) are pure workspace and never captured;
@@ -945,114 +959,138 @@ impl BeatStream {
     /// the whole golden corpus.
     #[must_use]
     pub fn snapshot(&self) -> BeatStreamSnapshot {
-        BeatStreamSnapshot {
-            fs: self.config.fs,
-            pend_ecg: self.pend_ecg.clone(),
-            pend_z: self.pend_z.clone(),
-            pushed: self.pushed,
-            processed: self.processed,
-            last_ecg: self.last_ecg,
-            last_z: self.last_z,
-            z_seen_finite: self.z_seen_finite,
-            z_sum: self.z_sum,
-            qrs: self.qrs.snapshot(),
-            ecg_ring: self.ecg_ring.snapshot(),
-            raw_rs: self.raw_rs.iter().copied().collect(),
-            last_refined_r: self.last_refined_r,
-            deriv: self.deriv.snapshot(),
-            lp: self.lp.snapshot(),
-            hp: self.hp.snapshot(),
-            delineator: self.delineator.snapshot(),
-            ecg_in_holdover: self.ecg_in_holdover,
-            z_in_holdover: self.z_in_holdover,
-            ecg_mon: self.ecg_mon.snapshot(),
-            z_mon: self.z_mon.snapshot(),
-            z_ema: self.z_ema,
-            z_ema_init: self.z_ema_init,
-            state_log: self.state_log.iter().copied().collect(),
-            restarts: self.restarts.iter().copied().collect(),
-            suppress_before: self.suppress_before,
+        let mut w = BeatStreamSnapshot::writer();
+        w.f64(self.config.fs);
+        w.f64s(&self.pend_ecg);
+        w.f64s(&self.pend_z);
+        w.usize(self.pushed);
+        w.usize(self.processed);
+        w.f64(self.last_ecg);
+        w.f64(self.last_z);
+        w.bool(self.z_seen_finite);
+        w.f64(self.z_sum);
+        self.qrs.encode(&mut w);
+        self.ecg_ring.encode(&mut w);
+        w.usizes(self.raw_rs.iter());
+        w.opt_usize(self.last_refined_r);
+        self.deriv.encode(&mut w);
+        self.lp.encode(&mut w);
+        self.hp.encode(&mut w);
+        self.delineator.encode(&mut w);
+        w.bool(self.ecg_in_holdover);
+        w.bool(self.z_in_holdover);
+        self.ecg_mon.encode(&mut w);
+        self.z_mon.encode(&mut w);
+        w.f64(self.z_ema);
+        w.bool(self.z_ema_init);
+        w.usize(self.state_log.len());
+        for &(idx, sev) in &self.state_log {
+            w.usize(idx);
+            w.u8(sev);
         }
+        w.usizes(self.restarts.iter());
+        w.usize(self.suppress_before);
+        BeatStreamSnapshot::from_writer(w)
     }
 
     /// Reconstructs a stream from a snapshot: designs a fresh engine
     /// for `config` (re-deriving every coefficient set from the design
-    /// cache) and overwrites its mutable state, resuming the session
+    /// cache) and decodes the state into it, each kernel checking its
+    /// part against its own design, resuming the session
     /// bitwise-identically to one that never paused.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] when the snapshot was taken at
-    ///   a different sampling rate than `config.fs`, or when its sample
-    ///   counters disagree with its pending buffers or its QRS clock, or
-    ///   it holds a raw R at or past that clock (a corrupted snapshot);
+    ///   a different sampling rate than `config.fs`, when its sample
+    ///   counters disagree with its pending buffers, its QRS clock or its
+    ///   raw-ECG ring, when it holds a raw R at or past that clock or
+    ///   conditioned ICG past it, a ladder severity past `Lost`, or
+    ///   trailing bytes (a corrupted snapshot);
     /// * [`CoreError::ChannelLengthMismatch`] when its pending ECG and Z
     ///   buffers differ in length (a corrupted snapshot);
-    /// * shape-mismatch errors from the kernel restores (a corrupted
-    ///   snapshot);
+    /// * [`CoreError::Dsp`], [`CoreError::Ecg`] or [`CoreError::Icg`]
+    ///   when a kernel's state does not fit its design, or the bytes run
+    ///   out (a corrupted snapshot);
     /// * construction errors from [`BeatStream::new`].
     pub fn restore(config: PipelineConfig, snap: &BeatStreamSnapshot) -> Result<Self, CoreError> {
-        if snap.fs.to_bits() != config.fs.to_bits() {
+        let mut r = snap.reader();
+        let fs = r.f64()?;
+        if fs.to_bits() != config.fs.to_bits() {
             return Err(CoreError::InvalidParameter {
                 name: "snapshot.fs",
-                value: snap.fs,
+                value: fs,
                 constraint: "must equal the restoring configuration's fs",
             });
         }
+        let mut s = Self::new(config)?;
+        (s.pend_ecg, s.pend_z) = (r.vec_f64()?, r.vec_f64()?);
+        (s.pushed, s.processed) = (r.usize()?, r.usize()?);
         // Every hop reads the same span of both pending buffers, and
         // `push` accounts for each buffered sample exactly once.
-        if snap.pend_ecg.len() != snap.pend_z.len() {
+        if s.pend_ecg.len() != s.pend_z.len() {
             return Err(CoreError::ChannelLengthMismatch {
-                ecg_len: snap.pend_ecg.len(),
-                z_len: snap.pend_z.len(),
+                ecg_len: s.pend_ecg.len(),
+                z_len: s.pend_z.len(),
             });
         }
-        if snap.processed.checked_add(snap.pend_ecg.len()) != Some(snap.pushed) {
+        if s.processed.checked_add(s.pend_ecg.len()) != Some(s.pushed) {
             return Err(CoreError::InvalidParameter {
                 name: "snapshot.pushed",
-                value: snap.pushed as f64,
+                value: s.pushed as f64,
                 constraint: "must equal processed plus the pending samples",
             });
         }
-        // The detector sees every processed sample, and each raw R it
-        // confirmed lies behind its clock; an R past it would overflow
-        // the refinement-context test on the next hop.
-        if snap.qrs.sample_idx != snap.processed || snap.raw_rs.iter().any(|&r| r >= snap.processed)
+        (s.last_ecg, s.last_z) = (r.f64()?, r.f64()?);
+        (s.z_seen_finite, s.z_sum) = (r.bool()?, r.f64()?);
+        s.qrs.decode(&mut r)?;
+        s.ecg_ring.decode(&mut r)?;
+        s.raw_rs = r.vec_usize()?.into();
+        s.last_refined_r = r.opt_usize()?;
+        // The detector and the raw-ECG ring see every processed sample,
+        // and each raw R the detector confirmed lies behind its clock. An
+        // R past it would overflow the refinement-context test on the
+        // next hop; a ring ending elsewhere would be sliced out of range.
+        if s.qrs.position() != s.processed
+            || s.ecg_ring.end() != s.processed
+            || s.raw_rs.iter().any(|&r| r >= s.processed)
         {
             return Err(CoreError::InvalidParameter {
                 name: "snapshot.raw_rs",
-                value: snap.qrs.sample_idx as f64,
-                constraint: "the QRS clock must equal processed and every raw R precede it",
+                value: s.qrs.position() as f64,
+                constraint:
+                    "the QRS clock and raw-ECG ring must end at processed and every raw R precede it",
             });
         }
-        let mut s = Self::new(config)?;
-        s.pend_ecg.extend_from_slice(&snap.pend_ecg);
-        s.pend_z.extend_from_slice(&snap.pend_z);
-        s.pushed = snap.pushed;
-        s.processed = snap.processed;
-        s.last_ecg = snap.last_ecg;
-        s.last_z = snap.last_z;
-        s.z_seen_finite = snap.z_seen_finite;
-        s.z_sum = snap.z_sum;
-        s.qrs.restore(&snap.qrs).map_err(CoreError::Ecg)?;
-        s.ecg_ring.restore(&snap.ecg_ring);
-        s.raw_rs.extend(snap.raw_rs.iter().copied());
-        s.last_refined_r = snap.last_refined_r;
-        s.deriv.restore(&snap.deriv);
-        s.lp.restore(&snap.lp).map_err(CoreError::Dsp)?;
-        s.hp.restore(&snap.hp).map_err(CoreError::Dsp)?;
-        s.delineator
-            .restore(&snap.delineator)
-            .map_err(CoreError::Icg)?;
-        s.ecg_in_holdover = snap.ecg_in_holdover;
-        s.z_in_holdover = snap.z_in_holdover;
-        s.ecg_mon.restore(&snap.ecg_mon);
-        s.z_mon.restore(&snap.z_mon);
-        s.z_ema = snap.z_ema;
-        s.z_ema_init = snap.z_ema_init;
-        s.state_log.extend(snap.state_log.iter().copied());
-        s.restarts.extend(snap.restarts.iter().copied());
-        s.suppress_before = snap.suppress_before;
+        s.deriv.decode(&mut r)?;
+        s.lp.decode(&mut r)?;
+        s.hp.decode(&mut r)?;
+        s.delineator.decode(&mut r)?;
+        // The conditioned ICG trails the raw input (or is padded to it at
+        // a warm restart), so it never reaches past `processed`.
+        if s.delineator.samples_end() > s.processed {
+            return Err(CoreError::InvalidParameter {
+                name: "snapshot.delineator",
+                value: s.delineator.samples_end() as f64,
+                constraint: "conditioned samples must not run past processed",
+            });
+        }
+        (s.ecg_in_holdover, s.z_in_holdover) = (r.bool()?, r.bool()?);
+        s.ecg_mon.decode(&mut r)?;
+        s.z_mon.decode(&mut r)?;
+        (s.z_ema, s.z_ema_init) = (r.f64()?, r.bool()?);
+        let n = r.usize()?;
+        s.state_log = VecDeque::with_capacity(r.capacity::<(usize, u8)>(n));
+        for _ in 0..n {
+            let idx = r.usize()?;
+            s.state_log
+                .push_back((idx, SignalState::decode_severity(&mut r)?));
+        }
+        s.restarts = r.vec_usize()?.into();
+        s.suppress_before = r.usize()?;
+        if !r.at_end() {
+            return Err(malformed("trailing bytes"));
+        }
         Ok(s)
     }
 
@@ -1670,116 +1708,239 @@ mod tests {
         assert!(BeatStream::restore(PipelineConfig::paper_default(500.0), &snap).is_err());
     }
 
-    #[test]
-    fn restore_rejects_inflated_zero_phase_tail() {
+    /// A stream 11.5 s into `recording(1)`, mid-hop: both channels
+    /// dropped to NaN at 9 s, the ECG came back at 11 s and is
+    /// recovering with its warm restart queued, and the Z is still lost.
+    fn mid_loss_stream() -> (BeatStream, Vec<f64>, Vec<f64>) {
         let rec = recording(1);
-        let config = PipelineConfig::paper_default(250.0);
-        let mut stream = BeatStream::new(config).unwrap();
-        stream
-            .push(&rec.device_ecg()[..2500], &rec.device_z()[..2500])
+        let (mut ecg, mut z) = (rec.device_ecg().to_vec(), rec.device_z().to_vec());
+        ecg[2250..2750].fill(f64::NAN);
+        z[2250..3000].fill(f64::NAN);
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
+        for (e, zc) in ecg[..2875].chunks(125).zip(z[..2875].chunks(125)) {
+            stream.push_qualified(e, zc).unwrap();
+        }
+        assert_eq!(
+            stream.channel_states(),
+            (SignalState::Recovering, SignalState::Lost)
+        );
+        assert!(!stream.restarts.is_empty());
+        (stream, ecg, z)
+    }
+
+    /// Restores `bytes` under the paper configuration.
+    fn restore_bytes(bytes: &[u8]) -> Result<BeatStream, CoreError> {
+        let snap = BeatStreamSnapshot::from_bytes(bytes)?;
+        BeatStream::restore(PipelineConfig::paper_default(250.0), &snap)
+    }
+
+    /// Restores `bytes` and pushes the hop that follows them.
+    fn restore_and_push_a_hop(bytes: &[u8], ecg: &[f64], z: &[f64]) {
+        let mut s = restore_bytes(bytes).unwrap();
+        let at = s.position();
+        s.push_qualified(&ecg[at..at + s.hop], &z[at..at + s.hop])
             .unwrap();
-        let good = stream.snapshot();
-        let round_trip = BeatStreamSnapshot::from_bytes(&good.to_bytes()).unwrap();
-        assert!(BeatStream::restore(config, &round_trip).is_ok());
+        assert_eq!(s.position(), at + s.hop);
+    }
+
+    /// `bytes` with the single occurrence of `part` replaced by `with`.
+    fn splice(bytes: &[u8], part: &[u8], with: &[u8]) -> Vec<u8> {
+        let at: Vec<usize> = (0..=bytes.len() - part.len())
+            .filter(|&i| bytes[i..].starts_with(part))
+            .collect();
+        assert_eq!(at.len(), 1, "the part must occur once");
+        [&bytes[..at[0]], with, &bytes[at[0] + part.len()..]].concat()
+    }
+
+    fn encoded(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn kernel_decode_errors_surface_as_their_crate_errors() {
+        let (stream, ..) = mid_loss_stream();
+        let good = stream.snapshot().into_bytes();
+        assert!(restore_bytes(&good).is_ok());
 
         // A corrupt checkpoint whose HP tail is far longer than any real
-        // stage holds between calls: it decodes, but must not restore
-        // (every later block would run a backward pass over it).
-        let mut forged = good;
-        let tail = forged.hp.tail.len();
-        forged.hp.tail.resize(tail + 100_000, 0.0);
-        let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
+        // stage holds between calls (every later block would run a
+        // backward pass over it).
+        let mut inflated = stream.clone();
+        let hp = design_cache::butterworth_highpass(2, 0.4, 250.0).unwrap();
+        inflated.hp = StreamingZeroPhase::new(hp, 100_000, 625, 125).aligned_to(26);
+        inflated.hp.push_chunk(&vec![1.0; 50_000], &mut Vec::new());
         assert!(matches!(
-            BeatStream::restore(config, &decoded),
+            restore_bytes(&inflated.snapshot().into_bytes()),
             Err(CoreError::Dsp(_))
         ));
+        // A detector designed for another sampling rate.
+        let mut wrong_fs = stream.clone();
+        wrong_fs.qrs = OnlinePanTompkins::new(500.0).unwrap();
+        assert!(matches!(
+            restore_bytes(&wrong_fs.snapshot().into_bytes()),
+            Err(CoreError::Ecg(_))
+        ));
+        // A delineator queue out of order.
+        let delineator = encoded(|w| stream.delineator.encode(w));
+        let unordered = encoded(|w| {
+            w.usize(0);
+            w.f64s(&[]);
+            w.usizes([5, 3].iter());
+            w.f64s(&[]);
+            w.usize(0);
+            w.f64(0.0);
+            w.u64(0);
+        });
+        assert!(matches!(
+            restore_bytes(&splice(&good, &delineator, &unordered)),
+            Err(CoreError::Icg(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_ladder_severity_past_lost() {
+        let (stream, ecg, z) = mid_loss_stream();
+        let good = stream.snapshot().into_bytes();
+        let z_mon = encoded(|w| stream.z_mon.encode(w));
+        assert_eq!(z_mon[0], SignalState::Lost.severity());
+        let log = encoded(|w| {
+            for &(idx, sev) in &stream.state_log {
+                w.usize(idx);
+                w.u8(sev);
+            }
+        });
+        let with_severity = |part: &[u8], at: usize, sev: u8| {
+            let mut forged = part.to_vec();
+            forged[at] = sev;
+            splice(&good, part, &forged)
+        };
+        let last_sev = log.len() - 1;
+        for (part, at) in [(&z_mon, 0), (&log, last_sev)] {
+            // The ladder tops out at 3 (`Lost`), the bytes' own value; a
+            // 4 must be refused rather than read as `Lost`.
+            assert!(matches!(
+                restore_bytes(&with_severity(part, at, 4)),
+                Err(CoreError::InvalidParameter {
+                    name: "snapshot.severity",
+                    ..
+                })
+            ));
+            restore_and_push_a_hop(&with_severity(part, at, 3), &ecg, &z);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_raw_ecg_ring_off_the_clock() {
+        let (stream, ecg, z) = mid_loss_stream();
+        let good = stream.snapshot().into_bytes();
+        let ring = encoded(|w| stream.ecg_ring.encode(w));
+        let rebased = |base: usize| {
+            let mut forged = ring.clone();
+            forged[..8].copy_from_slice(&(base as u64).to_le_bytes());
+            splice(&good, &ring, &forged)
+        };
+        let (base, len) = (stream.ecg_ring.base(), stream.ecg_ring.len());
+        // An end past the index range fails in the ring's own decode.
+        assert!(matches!(
+            restore_bytes(&rebased(usize::MAX - len + 1)),
+            Err(CoreError::Dsp(_))
+        ));
+        // A ring that does not end at `processed` would let refinement
+        // slice past it (a base pushed up reaches `slice`'s assert).
+        for forged in [
+            rebased(usize::MAX - len),
+            rebased(base + 1),
+            rebased(base - 1),
+        ] {
+            assert!(matches!(
+                restore_bytes(&forged),
+                Err(CoreError::InvalidParameter {
+                    name: "snapshot.raw_rs",
+                    ..
+                })
+            ));
+        }
+        // The neighbour that drops the oldest sample still ends at
+        // `processed`: it restores and keeps refining.
+        let mut trimmed = stream.clone();
+        trimmed.ecg_ring.discard_before(base + 1);
+        restore_and_push_a_hop(&trimmed.snapshot().into_bytes(), &ecg, &z);
+        restore_and_push_a_hop(&good, &ecg, &z);
     }
 
     #[test]
     fn restore_rejects_forged_qrs_clock() {
         let rec = recording(1);
-        let config = PipelineConfig::paper_default(250.0);
-        let mut stream = BeatStream::new(config).unwrap();
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
         stream
             .push(&rec.device_ecg()[..2500], &rec.device_z()[..2500])
             .unwrap();
-        let good = stream.snapshot();
-        assert!(good.qrs.last_r.is_some());
-
-        // A detector clock no live detector reaches: warm-up over at
-        // sample 0 with an MWI peak pending would take `idx − 1` at
-        // idx 0; candidates or apexes past the clock would wait on (or
-        // emit) samples from the far future.
-        let mut zero_clock = BeatStream::new(config).unwrap().snapshot();
-        zero_clock.qrs.sample_idx = 0;
-        zero_clock.qrs.warmup = 0;
-        zero_clock.qrs.mwi_hist = [0.0, 0.0, 5.0];
-        let mut pending_ahead = good.clone();
-        pending_ahead.qrs.pending = Some(good.qrs.sample_idx);
-        let mut last_r_ahead = good.clone();
-        last_r_ahead.qrs.last_r = Some(usize::MAX - 63);
-        let mut short_warmup = good.clone();
-        short_warmup.qrs.warmup = 499;
-        for forged in [&zero_clock, &pending_ahead, &last_r_ahead, &short_warmup] {
-            let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
-            assert!(matches!(
-                BeatStream::restore(config, &decoded),
-                Err(CoreError::Ecg(_))
-            ));
-        }
+        let forged = |forge: &dyn Fn(&mut BeatStream)| {
+            let mut s = stream.clone();
+            forge(&mut s);
+            s.snapshot().into_bytes()
+        };
         // The stream's own queue of raw Rs awaiting refinement context
-        // must sit behind the same clock: one near `usize::MAX` would
-        // overflow `r + ctx` on the next hop.
-        let mut raw_r_ahead = good.clone();
-        raw_r_ahead.raw_rs = vec![usize::MAX - 10];
-        let mut clock_skew = good.clone();
-        clock_skew.qrs.sample_idx += 1;
-        for forged in [&raw_r_ahead, &clock_skew] {
-            let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
+        // must sit behind the detector clock: one near `usize::MAX` would
+        // overflow `r + ctx` on the next hop. The clock itself must be
+        // the stream's, and no conditioned ICG may run ahead of it.
+        let bad = [
+            forged(&|s| s.raw_rs = [usize::MAX - 10].into()),
+            forged(&|s| s.raw_rs = [s.processed].into()),
+            forged(&|s| s.qrs.push_chunk(&[0.0], |_| {})),
+            forged(&|s| s.delineator.pad_to(s.processed + 1)),
+        ];
+        for bytes in &bad {
             assert!(matches!(
-                BeatStream::restore(config, &decoded),
+                restore_bytes(bytes),
                 Err(CoreError::InvalidParameter { .. })
             ));
         }
-        let mut resumed = BeatStream::restore(config, &good).unwrap();
-        resumed
-            .push(&rec.device_ecg()[2500..3000], &rec.device_z()[2500..3000])
-            .unwrap();
+        let ok = [
+            forged(&|s| s.raw_rs = [s.processed - 1].into()),
+            forged(&|s| s.delineator.pad_to(s.processed)),
+        ];
+        for bytes in &ok {
+            restore_and_push_a_hop(bytes, rec.device_ecg(), rec.device_z());
+        }
     }
 
     #[test]
     fn restore_rejects_inconsistent_pending_buffers() {
         let rec = recording(1);
-        let config = PipelineConfig::paper_default(250.0);
-        let mut stream = BeatStream::new(config).unwrap();
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
         stream
             .push(&rec.device_ecg()[..2600], &rec.device_z()[..2600])
             .unwrap();
-        let good = stream.snapshot();
-        assert_eq!(good.pend_ecg.len(), 100);
+        assert_eq!(stream.pend_ecg.len(), 100);
 
         // Pending buffers of unequal length would index past the short
         // one on the next completed hop; a pushed count that disagrees
         // with them would misplace every later sample index.
-        let mut short_z = good.clone();
+        let mut short_z = stream.clone();
         short_z.pend_z.clear();
-        let mut short_count = good.clone();
-        short_count.pushed -= 1;
-        for forged in [&short_z, &short_count] {
-            let decoded = BeatStreamSnapshot::from_bytes(&forged.to_bytes()).unwrap();
-            assert!(BeatStream::restore(config, &decoded).is_err());
-        }
         assert!(matches!(
-            BeatStream::restore(config, &short_z),
+            restore_bytes(&short_z.snapshot().into_bytes()),
             Err(CoreError::ChannelLengthMismatch {
                 ecg_len: 100,
                 z_len: 0
             })
         ));
+        let mut short_count = stream.clone();
+        short_count.pushed -= 1;
+        assert!(matches!(
+            restore_bytes(&short_count.snapshot().into_bytes()),
+            Err(CoreError::InvalidParameter {
+                name: "snapshot.pushed",
+                ..
+            })
+        ));
 
         // A rejected snapshot leaves nothing half-restored; the good one
         // still resumes and keeps pushing.
-        let mut resumed = BeatStream::restore(config, &good).unwrap();
+        let mut resumed = restore_bytes(&stream.snapshot().into_bytes()).unwrap();
         resumed
             .push(&rec.device_ecg()[2600..2750], &rec.device_z()[2600..2750])
             .unwrap();

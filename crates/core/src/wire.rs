@@ -493,7 +493,7 @@ impl WireHub {
             .into_iter()
             .map(|(session, slot)| WireSessionResult {
                 session,
-                snapshot_bytes: slot.stream.snapshot().to_bytes(),
+                snapshot_bytes: slot.stream.snapshot().into_bytes(),
                 states: slot.stream.channel_states(),
                 beats: slot.beats,
             })
@@ -537,7 +537,7 @@ impl WireHub {
                 snapshot: self
                     .sessions
                     .get(&session)
-                    .map_or_else(Vec::new, |s| s.stream.snapshot().to_bytes()),
+                    .map_or_else(Vec::new, |s| s.stream.snapshot().into_bytes()),
             })
             .collect();
         store.append(&Checkpoint {

@@ -45,6 +45,7 @@
 //! # }
 //! ```
 
+pub mod codec;
 pub mod design_cache;
 pub mod diff;
 pub mod fir;

@@ -33,34 +33,26 @@
 //! boundaries — and converges to the batch `filtfilt` interior at a rate
 //! set by the settle delay.
 //!
-//! # State snapshots
+//! # State encoding
 //!
-//! Every kernel exposes a `snapshot()`/`restore()` pair over a plain-data
-//! `*State` struct carrying exactly its mutable state — delay lines,
-//! ring positions, pending buffers — and **never** its coefficients,
-//! which are shared behind `Arc` and re-derived from
-//! [`crate::design_cache`] on the restoring side. Restoring a snapshot
-//! into a freshly designed kernel of the same shape resumes the stream
-//! bitwise-identically to one that never paused; a shape mismatch
-//! (different section count) is rejected with
-//! [`crate::DspError::LengthMismatch`]. This is the substrate for
-//! session migration and crash recovery in the serving layer.
+//! Every stateful kernel has one `encode`/`decode` pair over the
+//! [`crate::codec`] byte format, writing exactly its mutable state —
+//! delay lines, ring positions, pending buffers — and **never** its
+//! coefficients, which are shared behind `Arc` and re-derived from
+//! [`crate::design_cache`] on the decoding side. Decoding into a kernel
+//! freshly built from the same design resumes the stream
+//! bitwise-identically to one that never paused. `decode` checks the
+//! bytes against that design (section count, block geometry, ring
+//! coordinates) and leaves the kernel untouched when they do not fit.
+//! This is the substrate for session migration and crash recovery in
+//! the serving layer.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use crate::codec::{Reader, Writer};
 use crate::error::DspError;
 use crate::iir::Butterworth;
-
-/// The two direct-form-II-transposed delay registers of one biquad
-/// section.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BiquadState {
-    /// First delay register.
-    pub s1: f64,
-    /// Second delay register.
-    pub s2: f64,
-}
 
 /// A causal Butterworth cascade with persistent per-section state — the
 /// streaming twin of [`Butterworth::filter_in_place`]. Coefficients stay
@@ -154,37 +146,37 @@ impl StreamingCascade {
         }
     }
 
-    /// Captures the per-section delay registers (coefficients excluded).
-    #[must_use]
-    pub fn snapshot(&self) -> CascadeState {
-        CascadeState {
-            sections: self.state.clone(),
+    /// Writes the section count and each section's `(s1, s2)` delay
+    /// registers (coefficients excluded).
+    pub fn encode(&self, w: &mut Writer) {
+        w.usize(self.state.len());
+        for &(s1, s2) in &self.state {
+            w.f64(s1);
+            w.f64(s2);
         }
     }
 
-    /// Overwrites the per-section state from a snapshot.
+    /// Reads the registers [`Self::encode`] wrote.
     ///
     /// # Errors
     ///
-    /// [`DspError::LengthMismatch`] when the snapshot was taken from a
-    /// cascade with a different section count.
-    pub fn restore(&mut self, state: &CascadeState) -> Result<(), DspError> {
-        if state.sections.len() != self.state.len() {
+    /// [`DspError::LengthMismatch`] when they come from a cascade with a
+    /// different section count; a codec error when the bytes run out.
+    /// The cascade is untouched on error.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DspError> {
+        let n = r.usize()?;
+        if n != self.state.len() {
             return Err(DspError::LengthMismatch {
-                left: state.sections.len(),
+                left: n,
                 right: self.state.len(),
             });
         }
-        self.state.copy_from_slice(&state.sections);
+        let state = (0..n)
+            .map(|_| Ok((r.f64()?, r.f64()?)))
+            .collect::<Result<_, DspError>>()?;
+        self.state = state;
         Ok(())
     }
-}
-
-/// Mutable state of a [`StreamingCascade`]: `(s1, s2)` per section.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CascadeState {
-    /// Delay registers, one pair per biquad section.
-    pub sections: Vec<(f64, f64)>,
 }
 
 /// Streaming central-difference first derivative, matching
@@ -237,33 +229,23 @@ impl StreamingDerivative {
         self.seen = 0;
     }
 
-    /// Captures the two-sample history and stream position.
-    #[must_use]
-    pub fn snapshot(&self) -> DerivativeState {
-        DerivativeState {
-            prev: self.prev,
-            prev2: self.prev2,
-            seen: self.seen,
-        }
+    /// Writes the two-sample history and the count of samples seen.
+    pub fn encode(&self, w: &mut Writer) {
+        w.f64(self.prev);
+        w.f64(self.prev2);
+        w.usize(self.seen);
     }
 
-    /// Overwrites the history from a snapshot (`fs` is kept).
-    pub fn restore(&mut self, state: &DerivativeState) {
-        self.prev = state.prev;
-        self.prev2 = state.prev2;
-        self.seen = state.seen;
+    /// Reads the history [`Self::encode`] wrote (`fs` is kept).
+    ///
+    /// # Errors
+    ///
+    /// A codec error when the bytes run out; the kernel is untouched.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DspError> {
+        let (prev, prev2, seen) = (r.f64()?, r.f64()?, r.usize()?);
+        (self.prev, self.prev2, self.seen) = (prev, prev2, seen);
+        Ok(())
     }
-}
-
-/// Mutable state of a [`StreamingDerivative`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DerivativeState {
-    /// The most recent input sample.
-    pub prev: f64,
-    /// The input sample before `prev`.
-    pub prev2: f64,
-    /// Total samples pushed so far.
-    pub seen: usize,
 }
 
 /// Incremental zero-phase (forward–backward) IIR filtering with a bounded
@@ -331,7 +313,7 @@ thread_local! {
     /// Per-thread backward-pass workspace: the reflected, reversed tail
     /// windows of up to two blocks. Pure workspace, never part of a
     /// stage's state; its size is bounded by `2 × (settle + block + ext)`
-    /// of the largest stage the thread runs, because `restore` rejects
+    /// of the largest stage the thread runs, because `decode` rejects
     /// tails longer than `settle`.
     static BACKWARD_WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
@@ -538,27 +520,24 @@ impl StreamingZeroPhase {
         self.tail.drain(..drained);
     }
 
-    /// Captures the mutable zero-phase state: forward-cascade registers,
+    /// Writes the mutable zero-phase state: forward-cascade registers,
     /// buffered input, unsettled tail and the priming flag. The backward
     /// pass restarts from zero state every block in a per-thread
     /// workspace, so it carries no state of its own.
-    #[must_use]
-    pub fn snapshot(&self) -> ZeroPhaseState {
-        ZeroPhaseState {
-            forward: self.forward.snapshot(),
-            pending: self.pending.clone(),
-            tail: self.tail.clone(),
-            primed: self.primed,
-        }
+    pub fn encode(&self, w: &mut Writer) {
+        self.forward.encode(w);
+        w.f64s(&self.pending);
+        w.f64s(&self.tail);
+        w.bool(self.primed);
     }
 
-    /// Overwrites the mutable state from a snapshot. The stage must have
-    /// been constructed with the same design and `settle`/`ext`/`block`
-    /// parameters for the resumed stream to be bitwise identical.
+    /// Reads the state [`Self::encode`] wrote. The stage must have been
+    /// built with the same design and `settle`/`ext`/`block`/alignment
+    /// for the resumed stream to be bitwise identical.
     ///
-    /// A snapshot taken between two `push_chunk` calls always has
-    /// `pending` shorter than the next block (the shortened first block
-    /// of an aligned stage before priming), a `tail` of at most `settle`
+    /// State written between two `push_chunk` calls always has `pending`
+    /// shorter than the next block (the shortened first block of an
+    /// aligned stage before priming), a `tail` of at most `settle`
     /// samples and no tail before priming; anything else is corrupt and
     /// rejected, leaving the stage untouched. Without that bound a forged
     /// tail would make every later block run an arbitrarily long
@@ -569,49 +548,35 @@ impl StreamingZeroPhase {
     /// [`DspError::LengthMismatch`] when the forward-cascade section
     /// count differs, `pending` holds a whole next block or `tail`
     /// exceeds the settle delay; [`DspError::InvalidParameter`] when an
-    /// unprimed snapshot carries a tail.
-    pub fn restore(&mut self, state: &ZeroPhaseState) -> Result<(), DspError> {
-        let next = self.next_block(state.primed);
-        if state.pending.len() >= next {
+    /// unprimed stage carries a tail; a codec error when the bytes run
+    /// out.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DspError> {
+        let mut forward = self.forward.clone();
+        forward.decode(r)?;
+        let (pending, tail, primed) = (r.vec_f64()?, r.vec_f64()?, r.bool()?);
+        let next = self.next_block(primed);
+        if pending.len() >= next {
             return Err(DspError::LengthMismatch {
-                left: state.pending.len(),
+                left: pending.len(),
                 right: next,
             });
         }
-        if state.tail.len() > self.settle {
+        if tail.len() > self.settle {
             return Err(DspError::LengthMismatch {
-                left: state.tail.len(),
+                left: tail.len(),
                 right: self.settle,
             });
         }
-        if !state.primed && !state.tail.is_empty() {
+        if !primed && !tail.is_empty() {
             return Err(DspError::InvalidParameter {
                 name: "primed",
                 value: 0.0,
                 constraint: "an unprimed zero-phase stage has no unsettled tail",
             });
         }
-        self.forward.restore(&state.forward)?;
-        self.pending.clear();
-        self.pending.extend_from_slice(&state.pending);
-        self.tail.clear();
-        self.tail.extend_from_slice(&state.tail);
-        self.primed = state.primed;
+        (self.forward, self.pending, self.tail, self.primed) = (forward, pending, tail, primed);
         Ok(())
     }
-}
-
-/// Mutable state of a [`StreamingZeroPhase`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ZeroPhaseState {
-    /// Forward-pass cascade registers.
-    pub forward: CascadeState,
-    /// Raw input awaiting a complete block.
-    pub pending: Vec<f64>,
-    /// Forward-pass outputs not yet settled.
-    pub tail: Vec<f64>,
-    /// Whether the stream-start forward priming has run.
-    pub primed: bool,
 }
 
 /// A sliding window of raw samples addressed in absolute stream
@@ -699,33 +664,34 @@ impl HistoryRing {
         &self.buf[self.head..]
     }
 
-    /// Captures the live window and its absolute base index. Dead prefix
-    /// capacity is not carried — a restored ring is freshly compacted.
-    #[must_use]
-    pub fn snapshot(&self) -> HistoryRingState {
-        HistoryRingState {
-            base: self.base,
-            samples: self.as_slice().to_vec(),
+    /// Writes the absolute base index and the live window. Dead prefix
+    /// capacity is not carried — a decoded ring is freshly compacted.
+    pub fn encode(&self, w: &mut Writer) {
+        w.usize(self.base);
+        w.f64s(self.as_slice());
+    }
+
+    /// Reads a ring [`Self::encode`] wrote, replacing any current
+    /// content.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::InvalidParameter`] when the window would end past the
+    /// last addressable index (`base + len` overflows); a codec error
+    /// when the bytes run out. The ring is untouched on error.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), DspError> {
+        let base = r.usize()?;
+        let buf = r.vec_f64()?;
+        if base.checked_add(buf.len()).is_none() {
+            return Err(DspError::InvalidParameter {
+                name: "base",
+                value: base as f64,
+                constraint: "the ring must end within the index range",
+            });
         }
+        *self = Self { buf, head: 0, base };
+        Ok(())
     }
-
-    /// Rebuilds the ring from a snapshot, replacing any current content.
-    pub fn restore(&mut self, state: &HistoryRingState) {
-        self.buf.clear();
-        self.buf.extend_from_slice(&state.samples);
-        self.head = 0;
-        self.base = state.base;
-    }
-}
-
-/// Mutable state of a [`HistoryRing`]: the live window in absolute
-/// stream coordinates.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HistoryRingState {
-    /// Absolute stream index of the first retained sample.
-    pub base: usize,
-    /// The retained samples, oldest first.
-    pub samples: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -914,6 +880,12 @@ mod tests {
         assert_eq!(r.as_slice()[0], 90.0);
     }
 
+    fn bytes(encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn kernel_snapshots_resume_bitwise_mid_stream() {
         let lp = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
@@ -931,7 +903,7 @@ mod tests {
             z_ref.push_chunk(&x[i..=i], &mut z_ref_out);
         }
 
-        // Run to `split`, snapshot, restore into fresh kernels, resume.
+        // Run to `split`, encode, decode into fresh kernels, resume.
         let mut c = StreamingCascade::new(Arc::clone(&lp));
         let mut d = StreamingDerivative::new(FS);
         let mut z = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
@@ -941,13 +913,19 @@ mod tests {
             assert_eq!(got, refs[i]);
             z.push_chunk(&x[i..=i], &mut z_out);
         }
-        let (cs, ds, zs) = (c.snapshot(), d.snapshot(), z.snapshot());
+        let state = bytes(|w| {
+            c.encode(w);
+            d.encode(w);
+            z.encode(w);
+        });
         let mut c2 = StreamingCascade::new(Arc::clone(&lp));
         let mut d2 = StreamingDerivative::new(FS);
         let mut z2 = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
-        c2.restore(&cs).unwrap();
-        d2.restore(&ds);
-        z2.restore(&zs).unwrap();
+        let mut r = Reader::new(&state);
+        c2.decode(&mut r).unwrap();
+        d2.decode(&mut r).unwrap();
+        z2.decode(&mut r).unwrap();
+        assert!(r.at_end());
         for (i, &v) in x[split..].iter().enumerate() {
             let got = (c2.push(v), d2.push(v));
             assert_eq!(got, refs[split + i], "sample {}", split + i);
@@ -960,9 +938,31 @@ mod tests {
     fn cascade_restore_rejects_shape_mismatch() {
         let lp4 = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
         let lp2 = design_cache::butterworth_lowpass(2, 20.0, FS).unwrap();
-        let snap = StreamingCascade::new(lp4).snapshot();
+        let mut live = StreamingCascade::new(lp4);
+        live.push(1.0);
+        let state = bytes(|w| live.encode(w));
         let mut wrong = StreamingCascade::new(lp2);
-        assert!(wrong.restore(&snap).is_err());
+        let before = bytes(|w| wrong.encode(w));
+        assert!(matches!(
+            wrong.decode(&mut Reader::new(&state)),
+            Err(DspError::LengthMismatch { left: 2, right: 1 })
+        ));
+        assert_eq!(bytes(|w| wrong.encode(w)), before);
+        // Truncated registers leave the cascade untouched too.
+        let mut same = StreamingCascade::new(Arc::clone(live.filter()));
+        assert!(same
+            .decode(&mut Reader::new(&state[..state.len() - 1]))
+            .is_err());
+        assert_eq!(same.state, [(0.0, 0.0); 2]);
+        same.decode(&mut Reader::new(&state)).unwrap();
+        assert_eq!(bytes(|w| same.encode(w)), state);
+    }
+
+    /// A zero-phase stage's bytes as `forge` leaves its state.
+    fn forged(stage: &StreamingZeroPhase, forge: impl FnOnce(&mut StreamingZeroPhase)) -> Vec<u8> {
+        let mut stage = stage.clone();
+        forge(&mut stage);
+        bytes(|w| stage.encode(w))
     }
 
     #[test]
@@ -972,39 +972,73 @@ mod tests {
         let mut live = StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block);
         let mut out = Vec::new();
         live.push_chunk(&signal(437), &mut out);
-        let good = live.snapshot();
-        assert_eq!((good.pending.len(), good.tail.len()), (37, settle));
+        assert_eq!((live.pending.len(), live.tail.len()), (37, settle));
+        let good = forged(&live, |_| {});
 
         let mut z = StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block);
-        let fresh = z.snapshot();
-        let mut whole_block = good.clone();
-        whole_block.pending.resize(block, 0.0);
-        let mut long_tail = good.clone();
-        long_tail.tail.push(0.0);
-        let mut unprimed_tail = good.clone();
-        unprimed_tail.primed = false;
+        let fresh = forged(&z, |_| {});
+        let whole_block = forged(&live, |s| s.pending.resize(block, 0.0));
+        let long_tail = forged(&live, |s| s.tail.push(0.0));
+        let unprimed_tail = forged(&live, |s| s.primed = false);
         for bad in [&whole_block, &long_tail, &unprimed_tail] {
-            assert!(z.restore(bad).is_err());
-            // A rejected snapshot leaves the stage untouched.
-            assert_eq!(z.snapshot(), fresh);
+            assert!(z.decode(&mut Reader::new(bad)).is_err());
+            // A rejected state leaves the stage untouched.
+            assert_eq!(forged(&z, |_| {}), fresh);
         }
-        z.restore(&good).unwrap();
-        assert_eq!(z.snapshot(), good);
+        z.decode(&mut Reader::new(&good)).unwrap();
+        assert_eq!(forged(&z, |_| {}), good);
 
         // Aligned by 12, the first block is 38 samples: an unprimed
         // stage can hold 37 pending, never 38.
         let mut aligned =
             StreamingZeroPhase::new(Arc::clone(&lp), settle, 90, block).aligned_to(12);
-        let mut unprimed = aligned.snapshot();
-        unprimed.pending = signal(37);
-        aligned.restore(&unprimed).unwrap();
-        let mut first_block = unprimed.clone();
-        first_block.pending.push(0.0);
-        assert!(aligned.restore(&first_block).is_err());
-        assert_eq!(aligned.snapshot(), unprimed);
+        let unprimed = forged(&aligned, |s| s.pending = signal(37));
+        aligned.decode(&mut Reader::new(&unprimed)).unwrap();
+        let first_block = forged(&aligned, |s| s.pending.push(0.0));
+        assert!(aligned.decode(&mut Reader::new(&first_block)).is_err());
+        assert_eq!(forged(&aligned, |_| {}), unprimed);
         // Once primed, whole blocks apply again.
-        first_block.primed = true;
-        aligned.restore(&first_block).unwrap();
+        let primed = forged(&aligned, |s| {
+            s.pending.push(0.0);
+            s.primed = true;
+        });
+        aligned.decode(&mut Reader::new(&primed)).unwrap();
+    }
+
+    #[test]
+    fn zero_phase_geometry_off_the_aligned_grid_is_refused() {
+        // The streaming ICG chain's two stages at 250 Hz: blocks of 125,
+        // the LP aligned one sample behind the hop (first block 124) with
+        // a 25-sample settle, the HP 26 behind (first block 99).
+        let lp = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
+        let hp = design_cache::butterworth_highpass(2, 0.4, FS).unwrap();
+        let stages = [
+            StreamingZeroPhase::new(lp, 25, 90, 125).aligned_to(1),
+            StreamingZeroPhase::new(hp, 500, 625, 125).aligned_to(26),
+        ];
+        for (stage, first) in stages.iter().zip([124, 99]) {
+            // An unprimed stage may hold less than its first block, never
+            // a whole one.
+            let short = forged(stage, |s| s.pending = vec![0.0; first - 1]);
+            let whole = forged(stage, |s| s.pending = vec![0.0; first]);
+            let mut fresh = stage.clone();
+            fresh.decode(&mut Reader::new(&short)).unwrap();
+            let mut out = Vec::new();
+            fresh.push_chunk(&[0.5], &mut out);
+            assert!(fresh.primed, "first block {first} completed");
+            assert!(stage.clone().decode(&mut Reader::new(&whole)).is_err());
+        }
+        // The LP tail is bounded by its 0.1 s settle.
+        let mut lp = stages[0].clone();
+        lp.push_chunk(&signal(249), &mut Vec::new());
+        assert_eq!(lp.tail.len(), 25);
+        let settled = forged(&lp, |_| {});
+        let long = forged(&lp, |s| s.tail.push(0.0));
+        assert!(stages[0].clone().decode(&mut Reader::new(&long)).is_err());
+        stages[0]
+            .clone()
+            .decode(&mut Reader::new(&settled))
+            .unwrap();
     }
 
     #[test]
@@ -1013,13 +1047,35 @@ mod tests {
         let x: Vec<f64> = (0..100).map(|i| i as f64).collect();
         r.extend(&x);
         r.discard_before(37);
-        let snap = r.snapshot();
+        let state = bytes(|w| r.encode(w));
         let mut r2 = HistoryRing::new();
         r2.extend(&[9.0; 5]);
-        r2.restore(&snap);
+        r2.decode(&mut Reader::new(&state)).unwrap();
         assert_eq!(r2.base(), 37);
         assert_eq!(r2.end(), 100);
         assert_eq!(r2.as_slice(), r.as_slice());
+    }
+
+    #[test]
+    fn history_ring_decode_rejects_an_end_past_the_index_range() {
+        let mut live = HistoryRing::new();
+        live.extend(&[1.0, 2.0, 3.0]);
+        let at_base = |base: usize| {
+            let mut ring = live.clone();
+            ring.base = base;
+            bytes(|w| ring.encode(w))
+        };
+        let mut ring = HistoryRing::new();
+        assert!(ring
+            .decode(&mut Reader::new(&at_base(usize::MAX - 2)))
+            .is_err());
+        assert_eq!((ring.base(), ring.len()), (0, 0));
+        // The last window that still ends in range decodes and extends.
+        ring.decode(&mut Reader::new(&at_base(usize::MAX - 3)))
+            .unwrap();
+        assert_eq!(ring.end(), usize::MAX);
+        ring.discard_before(usize::MAX - 1);
+        assert_eq!(ring.as_slice(), [3.0]);
     }
 
     #[test]

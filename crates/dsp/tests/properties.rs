@@ -1,11 +1,12 @@
 //! Property-based tests over the DSP kernels.
 
+use cardiotouch_dsp::codec::{Reader, Writer};
 use cardiotouch_dsp::fir::Fir;
 use cardiotouch_dsp::iir::Butterworth;
 use cardiotouch_dsp::morph::{self, FlatElement};
 use cardiotouch_dsp::peaks;
 use cardiotouch_dsp::stats;
-use cardiotouch_dsp::streaming::{StreamingCascade, StreamingZeroPhase, ZeroPhaseState};
+use cardiotouch_dsp::streaming::{StreamingCascade, StreamingZeroPhase};
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{
     filtfilt_fir, filtfilt_fir_into, filtfilt_fir_span_into, filtfilt_iir, filtfilt_iir_ext,
@@ -423,52 +424,35 @@ impl BlockByBlockZeroPhase {
         self.tail.drain(..settled);
     }
 
-    fn snapshot(&self) -> ZeroPhaseState {
-        ZeroPhaseState {
-            forward: self.forward.snapshot(),
-            pending: self.pending.clone(),
-            tail: self.tail.clone(),
-            primed: self.primed,
-        }
+    /// The stage's state in `StreamingZeroPhase::encode` layout.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.forward.encode(&mut w);
+        w.f64s(&self.pending);
+        w.f64s(&self.tail);
+        w.bool(self.primed);
+        w.into_bytes()
     }
 
-    fn restore(&mut self, state: &ZeroPhaseState) {
-        self.forward.restore(&state.forward).unwrap();
+    fn decode(&mut self, bytes: &[u8]) {
+        let mut r = Reader::new(bytes);
+        self.forward.decode(&mut r).unwrap();
         self.backward.reset();
-        self.pending.clone_from(&state.pending);
-        self.tail.clone_from(&state.tail);
-        self.primed = state.primed;
+        self.pending = r.vec_f64().unwrap();
+        self.tail = r.vec_f64().unwrap();
+        self.primed = r.bool().unwrap();
+        assert!(r.at_end());
     }
+}
+
+fn encoded(stage: &StreamingZeroPhase) -> Vec<u8> {
+    let mut w = Writer::new();
+    stage.encode(&mut w);
+    w.into_bytes()
 }
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
-}
-
-/// A zero-phase snapshot as raw bit patterns, so `-0.0`/`0.0` and NaN
-/// payloads compare exactly.
-#[derive(Debug, PartialEq)]
-struct StateBits {
-    forward: Vec<(u64, u64)>,
-    pending: Vec<u64>,
-    tail: Vec<u64>,
-    primed: bool,
-}
-
-fn section_bits(sections: &[(f64, f64)]) -> Vec<(u64, u64)> {
-    sections
-        .iter()
-        .map(|(a, b)| (a.to_bits(), b.to_bits()))
-        .collect()
-}
-
-fn state_bits(s: &ZeroPhaseState) -> StateBits {
-    StateBits {
-        forward: section_bits(&s.forward.sections),
-        pending: bits(&s.pending),
-        tail: bits(&s.tail),
-        primed: s.primed,
-    }
 }
 
 /// A 20 Hz low-pass or 0.4 Hz high-pass of the given order — the two
@@ -709,19 +693,20 @@ proptest! {
                     stage.reset();
                 }
                 1 => {
-                    // Migrate both sides through each other's snapshots.
-                    let (o, s) = (oracle.snapshot(), stage.snapshot());
-                    prop_assert_eq!(state_bits(&o), state_bits(&s));
+                    // Migrate both sides through each other's encodings,
+                    // which carry every float as its bit pattern.
+                    let (o, s) = (oracle.encode(), encoded(&stage));
+                    prop_assert_eq!(&o, &s);
                     stage = fresh();
-                    stage.restore(&o).unwrap();
+                    stage.decode(&mut Reader::new(&o)).unwrap();
                     oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block, lead);
-                    oracle.restore(&s);
+                    oracle.decode(&s);
                 }
                 _ => {}
             }
         }
         prop_assert_eq!(fed, x.len());
-        prop_assert_eq!(state_bits(&oracle.snapshot()), state_bits(&stage.snapshot()));
+        prop_assert_eq!(oracle.encode(), encoded(&stage));
     }
 
     #[test]
@@ -836,8 +821,12 @@ proptest! {
             }
             prop_assert!(nan_blind_bits(&out) == nan_blind_bits(&want), "k={} len={}", k, c);
             let state_bits = |c: &StreamingCascade| {
-                let flat: Vec<f64> = c.snapshot().sections.iter().flat_map(|&(a, b)| [a, b]).collect();
-                nan_blind_bits(&flat)
+                let mut w = Writer::new();
+                c.encode(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = Reader::new(&bytes);
+                let registers: Vec<f64> = (0..2 * r.usize().unwrap()).map(|_| r.f64().unwrap()).collect();
+                nan_blind_bits(&registers)
             };
             prop_assert!(state_bits(&per_sample) == state_bits(&paired), "k={} state", k);
         }

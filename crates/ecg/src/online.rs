@@ -20,9 +20,9 @@
 //! calls it once per 1 s hop.
 
 use crate::EcgError;
+use cardiotouch_dsp::codec::{Reader, Writer};
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::iir::Biquad;
-use cardiotouch_dsp::streaming::BiquadState;
 
 /// The streaming QRS detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +30,8 @@ pub struct OnlinePanTompkins {
     fs: f64,
     /// The 5–15 Hz band-pass: its high-pass and low-pass sections.
     sections: [Biquad; 2],
-    /// Direct-form-II-transposed registers of `sections`.
-    bp_state: [BiquadState; 2],
+    /// Direct-form-II-transposed `(s1, s2)` registers of `sections`.
+    bp_state: [(f64, f64); 2],
     /// last 5 band-passed samples for the derivative kernel
     bp_hist: [f64; 5],
     /// moving-window-integration ring buffer of squared samples
@@ -85,7 +85,7 @@ impl OnlinePanTompkins {
         Ok(Self {
             fs,
             sections: [hp_section, lp_section],
-            bp_state: [BiquadState::default(); 2],
+            bp_state: [(0.0, 0.0); 2],
             bp_hist: [0.0; 5],
             mwi_buf: vec![0.0; w],
             mwi_pos: 0,
@@ -103,6 +103,13 @@ impl OnlinePanTompkins {
         })
     }
 
+    /// Absolute index of the next sample to be pushed: the detector's
+    /// clock, which [`Self::restart`] preserves.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.sample_idx
+    }
+
     /// Current adaptive detection threshold.
     #[must_use]
     pub fn threshold(&self) -> f64 {
@@ -115,7 +122,7 @@ impl OnlinePanTompkins {
     /// **preserves the absolute sample clock**, so detections emitted
     /// after the restart stay in absolute stream coordinates.
     pub fn restart(&mut self) {
-        self.bp_state = [BiquadState::default(); 2];
+        self.bp_state = [(0.0, 0.0); 2];
         self.bp_hist = [0.0; 5];
         self.mwi_buf.fill(0.0);
         self.mwi_pos = 0;
@@ -149,13 +156,7 @@ impl OnlinePanTompkins {
     /// rings advance by compare-and-wrap instead of `%`.
     pub fn push_chunk(&mut self, chunk: &[f64], mut on_r: impl FnMut(usize)) {
         let [p, q] = self.sections;
-        let [BiquadState {
-            s1: mut p1,
-            s2: mut p2,
-        }, BiquadState {
-            s1: mut q1,
-            s2: mut q2,
-        }] = self.bp_state;
+        let [(mut p1, mut p2), (mut q1, mut q2)] = self.bp_state;
         let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.bp_hist;
         let [mut m0, mut m1, mut m2] = self.mwi_hist;
         let (mut mwi_sum, mut mwi_pos) = (self.mwi_sum, self.mwi_pos);
@@ -236,10 +237,7 @@ impl OnlinePanTompkins {
                 }
             }
         }
-        self.bp_state = [
-            BiquadState { s1: p1, s2: p2 },
-            BiquadState { s1: q1, s2: q2 },
-        ];
+        self.bp_state = [(p1, p2), (q1, q2)];
         self.bp_hist = [h0, h1, h2, h3, h4];
         self.mwi_hist = [m0, m1, m2];
         (self.mwi_sum, self.mwi_pos) = (mwi_sum, mwi_pos);
@@ -248,83 +246,96 @@ impl OnlinePanTompkins {
         self.sample_idx = idx;
     }
 
-    /// Captures every mutable field of the detector — filter registers,
+    /// Writes every mutable field of the detector — filter registers,
     /// MWI ring, adaptive thresholds, absolute clock, pending candidate
     /// and warm-up deadline. Derived constants (`refractory`, window
-    /// sizes) and the coefficient set are re-derived from `fs` on
-    /// restore.
-    #[must_use]
-    pub fn snapshot(&self) -> PanTompkinsState {
-        PanTompkinsState {
-            sections: self.bp_state.to_vec(),
-            bp_hist: self.bp_hist,
-            mwi_buf: self.mwi_buf.clone(),
-            mwi_pos: self.mwi_pos,
-            mwi_sum: self.mwi_sum,
-            mwi_hist: self.mwi_hist,
-            raw_ring: self.raw_ring.clone(),
-            spki: self.spki,
-            npki: self.npki,
-            sample_idx: self.sample_idx,
-            last_r: self.last_r,
-            pending: self.pending,
-            warmup: self.warmup,
+    /// sizes) and the coefficient set stay with the design.
+    pub fn encode(&self, w: &mut Writer) {
+        w.usize(self.bp_state.len());
+        for &(s1, s2) in &self.bp_state {
+            w.f64(s1);
+            w.f64(s2);
         }
+        for &v in &self.bp_hist {
+            w.f64(v);
+        }
+        w.f64s(&self.mwi_buf);
+        w.usize(self.mwi_pos);
+        w.f64(self.mwi_sum);
+        for &v in &self.mwi_hist {
+            w.f64(v);
+        }
+        w.f64s(&self.raw_ring);
+        w.f64(self.spki);
+        w.f64(self.npki);
+        w.usize(self.sample_idx);
+        w.opt_usize(self.last_r);
+        w.opt_usize(self.pending);
+        w.usize(self.warmup);
     }
 
-    /// Overwrites the detector's mutable state from a snapshot. The
-    /// detector must have been constructed with the same `fs` so every
-    /// derived buffer length matches; resumption is then bitwise
+    /// Reads the state [`Self::encode`] wrote. The detector must have
+    /// been built for the same `fs`; resumption is then bitwise
     /// identical to a stream that never paused.
     ///
     /// # Errors
     ///
-    /// [`EcgError::InvalidParameter`] when a snapshot buffer length does
-    /// not match this detector's shape (different `fs`), or when its
-    /// clock is inconsistent: warm-up ending before the first 2 s, or a
-    /// pending candidate or last R at or past `sample_idx`. The detector
-    /// is untouched on error.
-    pub fn restore(&mut self, state: &PanTompkinsState) -> Result<(), EcgError> {
-        if state.sections.len() != self.sections.len()
-            || state.mwi_buf.len() != self.mwi_buf.len()
-            || state.raw_ring.len() != self.raw_ring.len()
-            || state.mwi_pos >= self.mwi_buf.len()
+    /// [`EcgError::InvalidParameter`] when the state's shape does not
+    /// match this detector's sampling rate (section count, MWI window,
+    /// raw ring, MWI position), or when its clock is inconsistent:
+    /// warm-up ending before the first 2 s, or a pending candidate or
+    /// last R at or past the clock. [`EcgError::Dsp`] when the bytes run
+    /// out. The detector is untouched on error.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), EcgError> {
+        let sections = r.usize()?;
+        let bad_shape = || EcgError::InvalidParameter {
+            name: "state.sections",
+            value: sections as f64,
+            constraint: "shape must match the detector's sampling rate",
+        };
+        if sections != self.bp_state.len() {
+            return Err(bad_shape());
+        }
+        let mut bp_state = [(0.0, 0.0); 2];
+        for s in &mut bp_state {
+            *s = (r.f64()?, r.f64()?);
+        }
+        let mut bp_hist = [0.0; 5];
+        for v in &mut bp_hist {
+            *v = r.f64()?;
+        }
+        let (mwi_buf, mwi_pos, mwi_sum) = (r.vec_f64()?, r.usize()?, r.f64()?);
+        let mut mwi_hist = [0.0; 3];
+        for v in &mut mwi_hist {
+            *v = r.f64()?;
+        }
+        let raw_ring = r.vec_f64()?;
+        let (spki, npki, sample_idx) = (r.f64()?, r.f64()?, r.usize()?);
+        let (last_r, pending, warmup) = (r.opt_usize()?, r.opt_usize()?, r.usize()?);
+        if mwi_buf.len() != self.mwi_buf.len()
+            || raw_ring.len() != self.raw_ring.len()
+            || mwi_pos >= mwi_buf.len()
         {
-            return Err(EcgError::InvalidParameter {
-                name: "snapshot",
-                value: state.mwi_buf.len() as f64,
-                constraint: "shape must match the detector's sampling rate",
-            });
+            return Err(bad_shape());
         }
         // A live detector never ends warm-up before its first 2 s, and
         // every candidate or apex it holds lies behind its clock. A
         // forged clock would take an MWI peak at sample 0 (`idx − 1`
         // underflows) or wait on a candidate that never comes due.
-        let behind = |v: Option<usize>| v.map_or(true, |i| i < state.sample_idx);
-        if state.warmup < (2.0 * self.fs) as usize
-            || !behind(state.pending)
-            || !behind(state.last_r)
-        {
+        let behind = |v: Option<usize>| v.map_or(true, |i| i < sample_idx);
+        if warmup < (2.0 * self.fs) as usize || !behind(pending) || !behind(last_r) {
             return Err(EcgError::InvalidParameter {
-                name: "snapshot.sample_idx",
-                value: state.sample_idx as f64,
+                name: "state.sample_idx",
+                value: sample_idx as f64,
                 constraint:
                     "warm-up must cover the first 2 s and pending/last R must precede the clock",
             });
         }
-        self.bp_state.copy_from_slice(&state.sections);
-        self.bp_hist = state.bp_hist;
-        self.mwi_buf.copy_from_slice(&state.mwi_buf);
-        self.mwi_pos = state.mwi_pos;
-        self.mwi_sum = state.mwi_sum;
-        self.mwi_hist = state.mwi_hist;
-        self.raw_ring.copy_from_slice(&state.raw_ring);
-        self.spki = state.spki;
-        self.npki = state.npki;
-        self.sample_idx = state.sample_idx;
-        self.last_r = state.last_r;
-        self.pending = state.pending;
-        self.warmup = state.warmup;
+        (self.bp_state, self.bp_hist, self.mwi_hist) = (bp_state, bp_hist, mwi_hist);
+        (self.mwi_buf, self.mwi_pos, self.mwi_sum) = (mwi_buf, mwi_pos, mwi_sum);
+        (self.raw_ring, self.spki, self.npki) = (raw_ring, spki, npki);
+        (self.sample_idx, self.last_r, self.pending) = (sample_idx, last_r, pending);
+        self.warmup = warmup;
         Ok(())
     }
 
@@ -346,39 +357,6 @@ impl OnlinePanTompkins {
         }
         best.0
     }
-}
-
-/// Mutable state of an [`OnlinePanTompkins`], as captured by
-/// [`OnlinePanTompkins::snapshot`]. Plain data: safe to serialize and
-/// move across threads or processes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PanTompkinsState {
-    /// Band-pass section delay registers.
-    pub sections: Vec<BiquadState>,
-    /// Last 5 band-passed samples for the derivative kernel.
-    pub bp_hist: [f64; 5],
-    /// Moving-window-integration ring of squared samples.
-    pub mwi_buf: Vec<f64>,
-    /// Next write slot in `mwi_buf`.
-    pub mwi_pos: usize,
-    /// Running sum of `mwi_buf`.
-    pub mwi_sum: f64,
-    /// Last 3 MWI values for local-max detection.
-    pub mwi_hist: [f64; 3],
-    /// Raw-signal ring for apex localisation.
-    pub raw_ring: Vec<f64>,
-    /// Adaptive signal-peak estimate.
-    pub spki: f64,
-    /// Adaptive noise-peak estimate.
-    pub npki: f64,
-    /// Absolute sample clock.
-    pub sample_idx: usize,
-    /// Absolute index of the last confirmed R apex.
-    pub last_r: Option<usize>,
-    /// Pending MWI-peak candidate awaiting confirmation.
-    pub pending: Option<usize>,
-    /// Absolute sample index at which threshold warm-up ends.
-    pub warmup: usize,
 }
 
 #[cfg(test)]
@@ -514,6 +492,12 @@ mod tests {
         assert!(OnlinePanTompkins::new(20.0).is_err());
     }
 
+    fn encoded(det: &OnlinePanTompkins) -> Vec<u8> {
+        let mut w = Writer::new();
+        det.encode(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn snapshot_restore_resumes_bitwise() {
         let (x, _) = synth(8, 80.0);
@@ -525,9 +509,12 @@ mod tests {
         for (i, &v) in x[..split].iter().enumerate() {
             assert_eq!(first.push(v), ref_out[i]);
         }
-        let snap = first.snapshot();
+        let state = encoded(&first);
         let mut resumed = OnlinePanTompkins::new(FS).unwrap();
-        resumed.restore(&snap).unwrap();
+        let mut r = Reader::new(&state);
+        resumed.decode(&mut r).unwrap();
+        assert!(r.at_end());
+        assert_eq!(resumed, first);
         for (i, &v) in x[split..].iter().enumerate() {
             assert_eq!(resumed.push(v), ref_out[split + i], "sample {}", split + i);
         }
@@ -539,9 +526,61 @@ mod tests {
 
     #[test]
     fn restore_rejects_wrong_fs_shape() {
-        let snap = OnlinePanTompkins::new(250.0).unwrap().snapshot();
+        let state = encoded(&OnlinePanTompkins::new(250.0).unwrap());
         let mut wrong = OnlinePanTompkins::new(500.0).unwrap();
-        assert!(wrong.restore(&snap).is_err());
+        let before = wrong.clone();
+        assert!(wrong.decode(&mut Reader::new(&state)).is_err());
+        assert_eq!(wrong, before);
+        assert!(wrong
+            .decode(&mut Reader::new(&state[..state.len() - 1]))
+            .is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_clock_no_live_detector_reaches() {
+        let (x, _) = synth(9, 70.0);
+        let mut good = OnlinePanTompkins::new(FS).unwrap();
+        good.push_chunk(&x[..2500], |_| {});
+        assert!(good.last_r.is_some());
+        let forged = |forge: &dyn Fn(&mut OnlinePanTompkins)| {
+            let mut det = good.clone();
+            forge(&mut det);
+            encoded(&det)
+        };
+        // Warm-up over at sample 0 with an MWI peak pending would take
+        // `idx − 1` at idx 0; candidates or apexes past the clock would
+        // wait on (or emit) samples from the far future.
+        let zero_clock = encoded(&{
+            let mut det = OnlinePanTompkins::new(FS).unwrap();
+            (det.sample_idx, det.warmup, det.mwi_hist) = (0, 0, [0.0, 0.0, 5.0]);
+            det
+        });
+        let bad = [
+            zero_clock,
+            forged(&|d| d.pending = Some(d.sample_idx)),
+            forged(&|d| d.last_r = Some(usize::MAX - 63)),
+            forged(&|d| d.warmup = 499),
+            forged(&|d| d.mwi_pos = d.mwi_buf.len()),
+        ];
+        for state in &bad {
+            let mut det = OnlinePanTompkins::new(FS).unwrap();
+            assert!(matches!(
+                det.decode(&mut Reader::new(state)),
+                Err(EcgError::InvalidParameter { .. })
+            ));
+            assert_eq!(det, OnlinePanTompkins::new(FS).unwrap());
+        }
+        // The closest live states decode and keep detecting.
+        let neighbours = [
+            forged(&|d| d.pending = Some(d.sample_idx - 1)),
+            forged(&|d| d.warmup = 500),
+        ];
+        for state in &neighbours {
+            let mut det = OnlinePanTompkins::new(FS).unwrap();
+            det.decode(&mut Reader::new(state)).unwrap();
+            det.push_chunk(&x[2500..2750], |_| {});
+            assert_eq!(det.position(), 2750);
+        }
     }
 
     #[test]

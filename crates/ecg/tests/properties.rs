@@ -3,18 +3,91 @@
 //! The oracle is a test-local copy of the per-sample detector loop as it
 //! ran before [`OnlinePanTompkins::push_chunk`]: the band-pass sections
 //! one after the other, `rotate_left` history shifts and `%` ring
-//! indexing, over the public [`PanTompkinsState`]. The chunked kernel
-//! must leave the same state bits and confirm the same R peaks at any
-//! chunking, across warm restarts and snapshot round trips.
+//! indexing, over a test-local copy of the detector state read through
+//! [`OnlinePanTompkins::encode`]. The chunked kernel must leave the same
+//! state bits and confirm the same R peaks at any chunking, across warm
+//! restarts and state round trips through the oracle's own encoding.
 
+use cardiotouch_dsp::codec::{Reader, Writer};
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::iir::Biquad;
-use cardiotouch_ecg::online::{OnlinePanTompkins, PanTompkinsState};
+use cardiotouch_ecg::online::OnlinePanTompkins;
 use cardiotouch_physio::ecg::EcgMorphology;
 use cardiotouch_physio::heart::HeartModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Every mutable field of the detector, in [`OnlinePanTompkins::encode`]
+/// order.
+#[derive(Debug, Clone)]
+struct PanTompkinsState {
+    /// `(s1, s2)` per band-pass section.
+    sections: Vec<(f64, f64)>,
+    bp_hist: [f64; 5],
+    mwi_buf: Vec<f64>,
+    mwi_pos: usize,
+    mwi_sum: f64,
+    mwi_hist: [f64; 3],
+    raw_ring: Vec<f64>,
+    spki: f64,
+    npki: f64,
+    sample_idx: usize,
+    last_r: Option<usize>,
+    pending: Option<usize>,
+    warmup: usize,
+}
+
+impl PanTompkinsState {
+    fn of(det: &OnlinePanTompkins) -> Self {
+        let mut w = Writer::new();
+        det.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let sections = (0..r.usize().unwrap())
+            .map(|_| (r.f64().unwrap(), r.f64().unwrap()))
+            .collect();
+        let st = Self {
+            sections,
+            bp_hist: std::array::from_fn(|_| r.f64().unwrap()),
+            mwi_buf: r.vec_f64().unwrap(),
+            mwi_pos: r.usize().unwrap(),
+            mwi_sum: r.f64().unwrap(),
+            mwi_hist: std::array::from_fn(|_| r.f64().unwrap()),
+            raw_ring: r.vec_f64().unwrap(),
+            spki: r.f64().unwrap(),
+            npki: r.f64().unwrap(),
+            sample_idx: r.usize().unwrap(),
+            last_r: r.opt_usize().unwrap(),
+            pending: r.opt_usize().unwrap(),
+            warmup: r.usize().unwrap(),
+        };
+        assert!(r.at_end());
+        st
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.usize(self.sections.len());
+        for &(s1, s2) in &self.sections {
+            w.f64(s1);
+            w.f64(s2);
+        }
+        self.bp_hist.iter().for_each(|&v| w.f64(v));
+        w.f64s(&self.mwi_buf);
+        w.usize(self.mwi_pos);
+        w.f64(self.mwi_sum);
+        self.mwi_hist.iter().for_each(|&v| w.f64(v));
+        w.f64s(&self.raw_ring);
+        w.f64(self.spki);
+        w.f64(self.npki);
+        w.usize(self.sample_idx);
+        w.opt_usize(self.last_r);
+        w.opt_usize(self.pending);
+        w.usize(self.warmup);
+        w.into_bytes()
+    }
+}
 
 /// The detector as plain state plus the constants `new` derives from `fs`.
 struct PerSampleOracle {
@@ -30,7 +103,7 @@ impl PerSampleOracle {
             .unwrap()
             .sections()
             .to_vec();
-        let st = OnlinePanTompkins::new(fs).unwrap().snapshot();
+        let st = PanTompkinsState::of(&OnlinePanTompkins::new(fs).unwrap());
         Self {
             fs,
             sections,
@@ -68,10 +141,10 @@ impl PerSampleOracle {
         let ring_len = self.st.raw_ring.len();
         self.st.raw_ring[idx % ring_len] = sample;
         let mut bp = sample;
-        for (c, s) in self.sections.iter().zip(self.st.sections.iter_mut()) {
-            let y = c.b0 * bp + s.s1;
-            s.s1 = c.b1 * bp - c.a1 * y + s.s2;
-            s.s2 = c.b2 * bp - c.a2 * y;
+        for (c, (s1, s2)) in self.sections.iter().zip(self.st.sections.iter_mut()) {
+            let y = c.b0 * bp + *s1;
+            *s1 = c.b1 * bp - c.a1 * y + *s2;
+            *s2 = c.b2 * bp - c.a2 * y;
             bp = y;
         }
         let h = &mut self.st.bp_hist;
@@ -145,7 +218,7 @@ fn state_bits(s: &PanTompkinsState) -> Vec<u64> {
     let mut out: Vec<u64> = s
         .sections
         .iter()
-        .flat_map(|b| [fold(b.s1), fold(b.s2)])
+        .flat_map(|&(s1, s2)| [fold(s1), fold(s2)])
         .collect();
     out.extend(s.bp_hist.iter().map(|&v| fold(v)));
     out.extend(s.mwi_buf.iter().map(|&v| fold(v)));
@@ -217,8 +290,8 @@ proptest! {
             prop_assert!(got == want, "chunk {} at {}: {:?} vs {:?}", k, fed, got, want);
             prop_assert!(one == want, "per-sample push, chunk {} at {}", k, fed);
             let want_bits = state_bits(&oracle.st);
-            prop_assert!(state_bits(&chunked.snapshot()) == want_bits, "state after chunk {}", k);
-            prop_assert!(state_bits(&single.snapshot()) == want_bits);
+            prop_assert!(state_bits(&PanTompkinsState::of(&chunked)) == want_bits, "state after chunk {}", k);
+            prop_assert!(state_bits(&PanTompkinsState::of(&single)) == want_bits);
             fed += c;
             match events[k % events.len()] {
                 0 => {
@@ -227,8 +300,11 @@ proptest! {
                     single.restart();
                 }
                 1 => {
+                    // Resume the kernel from the oracle's encoding, and
+                    // the oracle from the kernel's.
                     let mut resumed = OnlinePanTompkins::new(fs).unwrap();
-                    resumed.restore(&chunked.snapshot()).unwrap();
+                    resumed.decode(&mut Reader::new(&oracle.st.encode())).unwrap();
+                    oracle.st = PanTompkinsState::of(&chunked);
                     chunked = resumed;
                 }
                 _ => {}

@@ -18,7 +18,8 @@
 
 use std::collections::VecDeque;
 
-use cardiotouch_dsp::streaming::{HistoryRing, HistoryRingState};
+use cardiotouch_dsp::codec::{Reader, Writer};
+use cardiotouch_dsp::streaming::HistoryRing;
 
 use crate::beat::BeatWindow;
 use crate::points::{CharacteristicPoints, PointDetector, XSearch};
@@ -243,44 +244,54 @@ impl BeatDelineator {
         self.ring.discard_before(keep.min(self.ring.end()));
     }
 
-    /// Captures every mutable field — the conditioned-sample ring in
-    /// absolute coordinates, queued R peaks, and the ensemble template
-    /// with its warm-up count. `PointDetector` is pure configuration and
-    /// is rebuilt from constructor arguments on the restoring side.
-    #[must_use]
-    pub fn snapshot(&self) -> DelineatorState {
-        DelineatorState {
-            ring: self.ring.snapshot(),
-            rs: self.rs.iter().copied().collect(),
-            template: self.template.clone(),
-            template_beats: self.template_beats,
-            strategy: self.strategy_state,
-        }
+    /// Writes every mutable field — the conditioned-sample ring in
+    /// absolute coordinates, queued R peaks, the ensemble template with
+    /// its warm-up count, and the strategy's R→B prior. `PointDetector`
+    /// is pure configuration and stays with the design.
+    pub fn encode(&self, w: &mut Writer) {
+        self.ring.encode(w);
+        w.usizes(self.rs.iter());
+        w.f64s(&self.template);
+        w.usize(self.template_beats);
+        w.f64(self.strategy_state.rb_ema_s);
+        w.u64(self.strategy_state.rb_beats);
     }
 
-    /// Overwrites the delineator's mutable state from a snapshot. The
-    /// delineator must have been constructed with the same `fs`,
-    /// `XSearch` and RR bounds for resumption to be bitwise identical.
+    /// Reads the state [`Self::encode`] wrote. The delineator must have
+    /// been built with the same `fs`, `XSearch`, strategy and RR bounds
+    /// for resumption to be bitwise identical.
     ///
     /// # Errors
     ///
-    /// [`IcgError::InvalidParameter`] when the snapshot's template
-    /// exceeds this delineator's cap (different `fs`).
-    pub fn restore(&mut self, state: &DelineatorState) -> Result<(), IcgError> {
-        if state.template.len() > self.template_cap {
+    /// [`IcgError::InvalidParameter`] when the queued R peaks do not
+    /// strictly ascend or the template exceeds this delineator's cap
+    /// (different `fs`); [`IcgError::Dsp`] when the ring does not decode
+    /// or the bytes run out. The delineator is untouched on error.
+    pub fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), IcgError> {
+        let mut ring = HistoryRing::new();
+        ring.decode(r)?;
+        let rs = r.vec_usize()?;
+        let (template, template_beats) = (r.vec_f64()?, r.usize()?);
+        let strategy_state = StrategyState {
+            rb_ema_s: r.f64()?,
+            rb_beats: r.u64()?,
+        };
+        if rs.windows(2).any(|w| w[0] >= w[1]) {
             return Err(IcgError::InvalidParameter {
-                name: "snapshot",
-                value: state.template.len() as f64,
+                name: "state.rs",
+                value: rs.len() as f64,
+                constraint: "R peaks must be strictly ascending",
+            });
+        }
+        if template.len() > self.template_cap {
+            return Err(IcgError::InvalidParameter {
+                name: "state.template",
+                value: template.len() as f64,
                 constraint: "template must fit the delineator's cap",
             });
         }
-        self.ring.restore(&state.ring);
-        self.rs.clear();
-        self.rs.extend(state.rs.iter().copied());
-        self.template.clear();
-        self.template.extend_from_slice(&state.template);
-        self.template_beats = state.template_beats;
-        self.strategy_state = state.strategy;
+        (self.ring, self.rs, self.template) = (ring, rs.into(), template);
+        (self.template_beats, self.strategy_state) = (template_beats, strategy_state);
         Ok(())
     }
 
@@ -308,24 +319,6 @@ impl BeatDelineator {
         }
         sqi
     }
-}
-
-/// Mutable state of a [`BeatDelineator`], as captured by
-/// [`BeatDelineator::snapshot`]. Plain data: safe to serialize and move
-/// across threads or processes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DelineatorState {
-    /// Buffered conditioned samples in absolute stream coordinates.
-    pub ring: HistoryRingState,
-    /// Confirmed R peaks not yet consumed as a beat start.
-    pub rs: Vec<usize>,
-    /// R-aligned ensemble template.
-    pub template: Vec<f64>,
-    /// Beats folded into the template so far.
-    pub template_beats: usize,
-    /// Cross-beat state of the delineation strategy (weighted-window B
-    /// prior). Default for the stateless strategies.
-    pub strategy: StrategyState,
 }
 
 #[cfg(test)]
@@ -555,9 +548,12 @@ mod tests {
             }
             first.poll_into(&mut head);
         }
-        let snap = first.snapshot();
+        let state = encoded(&first);
         let mut resumed = BeatDelineator::new(FS, XSearch::GlobalMinimum, 0.3, 2.0).unwrap();
-        resumed.restore(&snap).unwrap();
+        let mut r = Reader::new(&state);
+        resumed.decode(&mut r).unwrap();
+        assert!(r.at_end());
+        assert_eq!(encoded(&resumed), state);
         let tail = run_from(&mut resumed, split);
         let all: Vec<OnlineBeat> = head.into_iter().chain(tail).collect();
         assert_eq!(all.len(), ref_out.len());
@@ -566,6 +562,74 @@ mod tests {
             assert_eq!(a.points, b.points);
             assert_eq!(a.dzdt_max.to_bits(), b.dzdt_max.to_bits());
             assert_eq!(a.sqi.map(f64::to_bits), b.sqi.map(f64::to_bits));
+        }
+    }
+
+    fn encoded(d: &BeatDelineator) -> Vec<u8> {
+        let mut w = Writer::new();
+        d.encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_unordered_rs_and_an_oversized_template() {
+        let icg = IcgConditioner::paper_default(FS)
+            .unwrap()
+            .condition(&synth(3000))
+            .unwrap();
+        let mut good = BeatDelineator::new(FS, XSearch::GlobalMinimum, 0.3, 2.0).unwrap();
+        good.push_samples(&icg[..2000]);
+        for r in [0, 200, 400, 600, 800, 1000, 1900, 2100] {
+            good.push_r(r).unwrap();
+        }
+        good.poll_into(&mut Vec::new());
+        assert_eq!(good.template.len(), 150);
+        assert_eq!(Vec::from(good.rs.clone()), [1900, 2100]);
+        let forged = |forge: &dyn Fn(&mut BeatDelineator)| {
+            let mut d = good.clone();
+            forge(&mut d);
+            encoded(&d)
+        };
+        let fresh = || BeatDelineator::new(FS, XSearch::GlobalMinimum, 0.3, 2.0).unwrap();
+        let bad = [
+            forged(&|d| d.rs = [2100, 1900].into()),
+            forged(&|d| d.rs = [1900, 1900].into()),
+            forged(&|d| d.template.push(0.0)),
+        ];
+        for state in &bad {
+            let mut d = fresh();
+            assert!(matches!(
+                d.decode(&mut Reader::new(state)),
+                Err(IcgError::InvalidParameter { .. })
+            ));
+            assert_eq!(encoded(&d), encoded(&fresh()));
+        }
+        // The ring leads the encoding with its base: one past the last
+        // base that keeps its end in range fails in the ring's decode.
+        let rebased = |base: usize| {
+            let mut state = encoded(&good);
+            state[..8].copy_from_slice(&(base as u64).to_le_bytes());
+            state
+        };
+        let live = good.ring.len();
+        assert!(matches!(
+            fresh().decode(&mut Reader::new(&rebased(usize::MAX - live + 1))),
+            Err(IcgError::Dsp(_))
+        ));
+        fresh()
+            .decode(&mut Reader::new(&rebased(usize::MAX - live)))
+            .unwrap();
+        // The good state and its neighbours decode and keep delineating.
+        for state in [
+            encoded(&good),
+            forged(&|d| d.rs = [1900, 2101].into()),
+            forged(&|d| d.template.truncate(149)),
+        ] {
+            let mut d = fresh();
+            d.decode(&mut Reader::new(&state)).unwrap();
+            d.push_samples(&icg[2000..]);
+            d.poll_into(&mut Vec::new());
+            assert_eq!(d.samples_end(), 3000);
         }
     }
 

@@ -26,8 +26,8 @@
 //! ([`crate::online::BeatDelineator`]) — operating on the identical
 //! settled beat segment, so batch and stream remain bitwise identical
 //! per strategy. The only cross-beat state is [`StrategyState`], which
-//! the streaming engine snapshots and restores (core codec v2) so live
-//! migration and crash recovery stay invisible.
+//! [`crate::online::BeatDelineator::encode`] carries (snapshot codec v2
+//! and later) so live migration and crash recovery stay invisible.
 //!
 //! [`Classic`]: DelineationStrategy::Classic
 
@@ -96,8 +96,9 @@ impl std::fmt::Display for DelineationStrategy {
 /// the batch pipeline and the streaming delineator therefore walk the
 /// identical state trajectory over the identical segment sequence,
 /// which is what keeps batch==stream bitwise per strategy. The
-/// streaming engine serializes this through the core snapshot codec
-/// (v2) so migration/checkpoint round-trips are invisible.
+/// streaming delineator encodes both words with its own state
+/// (snapshot codec v2 and later), so migration/checkpoint round-trips
+/// are invisible.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrategyState {
