@@ -120,8 +120,8 @@ fn persist_checkpoint(
 /// rebuilds the segmented log from the segment files (only the newest
 /// may carry a crash cut), restores every checkpointed session and
 /// replays the log suffix past the watermark. Returns the fleet plus
-/// the checkpoint index used and the suffix frame count, for the
-/// startup banner.
+/// the log frame count at the checkpoint used and the suffix frame
+/// count, for the startup banner.
 fn recover_fleet(
     config: PipelineConfig,
     shards: usize,
@@ -156,7 +156,7 @@ fn recover_fleet(
     let mut suffix_frames = 0u64;
     log.replay_from(&newest.checkpoint.watermark, |_| suffix_frames += 1)?;
     let fleet = Fleet::recover(config, shards, mailbox, store, &newest.checkpoint, log)?;
-    Ok((fleet, newest.index, suffix_frames))
+    Ok((fleet, newest.checkpoint.watermark.frames, suffix_frames))
 }
 
 /// The conformance suite as a CLI verb: differential engines over the
@@ -521,7 +521,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 let mut fleet;
                 let mut encoders: Vec<SessionEncoder>;
                 if let Some(dir) = recover.as_deref().map(std::path::Path::new) {
-                    let (f, ckpt_index, suffix_frames) =
+                    let (f, ckpt_frames, suffix_frames) =
                         recover_fleet(config, shard_count, mailbox, policy, dir)?;
                     let resumes = f.wire_session_resumes();
                     if resumes.len() != sessions {
@@ -545,7 +545,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                     }
                     eprintln!(
                         "recovered {sessions} session(s) from {} \
-                         (checkpoint #{ckpt_index}, {suffix_frames} suffix frames replayed)",
+                         (checkpoint at log frame {ckpt_frames}, {suffix_frames} suffix frames replayed)",
                         dir.display()
                     );
                     fleet = f;

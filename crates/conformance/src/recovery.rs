@@ -89,7 +89,8 @@ pub struct CutTrialReport {
     pub store_kept: usize,
     /// Bytes kept of the active log segment (full length on trial 0).
     pub log_kept: usize,
-    /// Index of the checkpoint recovery fell back to.
+    /// Seal number (zero-based) of the checkpoint recovery fell back
+    /// to, found by its watermark.
     pub recovered_checkpoint: u64,
     /// Log-suffix frames replayed before the re-feed.
     pub suffix_frames: u64,
@@ -272,17 +273,19 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<RecoveryReport, ConformanceErr
     // Beats drained at each checkpoint, in checkpoint order: the
     // durably-covered output the caller already owns at crash time.
     let mut drains: Vec<BTreeMap<u32, Vec<QualifiedBeat>>> = Vec::new();
-    // Store length after each append: the final entry's byte window.
-    let mut store_marks: Vec<usize> = Vec::new();
+    // Each seal's watermark: how a recovered checkpoint is matched to
+    // its drains (the store retires old entries, so its entry index is
+    // no seal count).
+    let mut watermarks = Vec::new();
     for (slot, buf) in slot_bufs[..cut_slot].iter().enumerate() {
         live.push(buf)?;
         if slot % CHECKPOINT_EVERY_SLOTS == CHECKPOINT_EVERY_SLOTS - 1 {
-            let (_, drained) = live.checkpoint(&mut store)?;
+            let (watermark, drained) = live.checkpoint(&mut store)?;
             drains.push(drained.into_iter().collect());
-            store_marks.push(store.as_bytes().len());
+            watermarks.push(watermark);
         }
     }
-    let checkpoints_sealed = store_marks.len();
+    let checkpoints_sealed = watermarks.len();
     if checkpoints_sealed < 2 {
         return Err(ConformanceError::Format(
             "cut slot too early: fewer than two checkpoints sealed".into(),
@@ -304,7 +307,9 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<RecoveryReport, ConformanceErr
     // one replayable), log cuts anywhere inside the active segment
     // past its header.
     let header_len = IngestLog::new().as_bytes().len();
-    let last_entry_start = store_marks[checkpoints_sealed - 2];
+    let last_entry_start = store
+        .newest_entry_start()
+        .expect("two checkpoints were sealed");
     let active_len = segment_parts.last().map_or(0, |(_, b)| b.len());
     let mut cut_trials = Vec::with_capacity(CUT_TRIALS);
     let mut cut_identical = vec![true; golden.len()];
@@ -333,6 +338,12 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<RecoveryReport, ConformanceErr
             .replay_from(&recovered.checkpoint.watermark, |_| {})
             .map(|r| r.frames)
             .unwrap_or(0);
+        let covered = watermarks
+            .iter()
+            .rposition(|w| *w == recovered.checkpoint.watermark)
+            .ok_or_else(|| {
+                ConformanceError::Format("recovered checkpoint matches no sealed watermark".into())
+            })?;
         let mut hub = WireHub::recover(config, &recovered.checkpoint, cut_log)?;
         // At-least-once re-feed: the source resends the whole stream,
         // crash-lost tail included, then serving continues to the end.
@@ -345,7 +356,6 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<RecoveryReport, ConformanceErr
 
         let mut identical_sessions = 0;
         for (i, want) in golden.iter().enumerate() {
-            let covered = usize::try_from(recovered.index).expect("checkpoint index fits usize");
             let mut beats: Vec<QualifiedBeat> = Vec::new();
             for d in &drains[..=covered] {
                 if let Some(b) = d.get(&want.session) {
@@ -373,7 +383,7 @@ pub fn run_corpus(cases: &[CorpusCase]) -> Result<RecoveryReport, ConformanceErr
         cut_trials.push(CutTrialReport {
             store_kept,
             log_kept,
-            recovered_checkpoint: recovered.index,
+            recovered_checkpoint: covered as u64,
             suffix_frames,
             identical_sessions,
         });

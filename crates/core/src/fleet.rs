@@ -21,16 +21,21 @@
 //! shutdown) use the blocking send — they must not be dropped, and a
 //! full mailbox only delays them until the shard drains its ingest
 //! backlog. The mailbox is a `Mutex<VecDeque>` + condvars rather than a
-//! lock-free ring. Sample data does travel through it: every run the
-//! control thread's [`FrontDoor`] reassembles becomes one
-//! `WireSamples` message owning two fresh `Vec<f64>` copies (ECG and
-//! Z), so a 256-session wire fleet queues two runs per session per 1 s
-//! tick — 512 messages per slot — next to its few control commands.
-//! Batching a shard's runs into one message per `wire_push` was
-//! measured *slower* (×0.88 `sustained_sessions` on serve-steady over 4
-//! A/B pairs): the shards then start only after the whole tick is
-//! decoded instead of working through early runs while the control
-//! thread decodes the rest.
+//! lock-free ring. Sample data does travel through it: the control
+//! thread appends every run its [`FrontDoor`] reassembles to the owning
+//! shard's pending batch (session, length, ECG and Z samples back to
+//! back) and sends the batch as one `WireRuns` message once it holds
+//! `WIRE_BATCH_RUNS` (16) runs, and at the end of every call that
+//! dispatched runs — `wire_push` and the two log replays — so a later
+//! barrier covers all of them. The shard pushes each run into its
+//! session's stream on its own, never coalesced, and hands the emptied
+//! buffers back through a per-shard free list, so the steady state
+//! allocates nothing. A 256-session fleet on two shards thus sends
+//! about 32 messages per 1 s slot instead of 512. Batches stay small
+//! because the shards should start while the control thread is still
+//! decoding: one batch per shard per push measured ×0.88
+//! `sustained_sessions` on serve-steady, and 64-run batches gave back
+//! most of the 16-run gain.
 //!
 //! # Supervision
 //!
@@ -282,13 +287,10 @@ enum ShardCmd {
     /// Open a frame-driven wire session: the shard owns a dedicated
     /// [`BeatStream`] for it, outside the scheduler slab.
     WireAdmit { session: u32 },
-    /// A reassembled sample run for a wire session, decoded by the
-    /// fleet control thread's [`FrontDoor`].
-    WireSamples {
-        session: u32,
-        ecg: Vec<f64>,
-        z: Vec<f64>,
-    },
+    /// Reassembled sample runs for this shard's wire sessions, decoded
+    /// by the fleet control thread's [`FrontDoor`]. The shard returns
+    /// the emptied batch through its free list.
+    WireRuns(WireBatch),
     /// Drain every wire session's accumulated beats and final state.
     /// Answered with [`ShardEvent::WireCollected`].
     WireCollect,
@@ -315,6 +317,89 @@ enum ShardCmd {
     Sync { token: u64 },
     /// Terminate the worker loop.
     Shutdown,
+}
+
+/// Runs per [`ShardCmd::WireRuns`] message. Small on purpose: a shard
+/// starts on the first batch while the control thread is still
+/// decoding the rest of the push.
+const WIRE_BATCH_RUNS: usize = 16;
+
+/// Reassembled sample runs bound for one shard, in arrival order: each
+/// run's session and length, and the runs' samples back to back.
+struct WireBatch {
+    runs: Vec<(u32, usize)>,
+    ecg: Vec<f64>,
+    z: Vec<f64>,
+}
+
+/// Emptied batches a shard hands back to the control thread, so the
+/// steady state allocates none.
+type FreeList = Arc<Mutex<Vec<WireBatch>>>;
+
+/// The control thread's half of the wire transport: one batch being
+/// filled per shard, and each shard's free list.
+struct WireOutbox {
+    pending: Vec<Option<WireBatch>>,
+    free: Vec<FreeList>,
+}
+
+impl WireOutbox {
+    fn new(shards: usize) -> Self {
+        Self {
+            pending: (0..shards).map(|_| None).collect(),
+            free: (0..shards).map(|_| FreeList::default()).collect(),
+        }
+    }
+
+    /// Appends one run to `shard`'s batch and sends the batch once it
+    /// is full.
+    fn append(
+        &mut self,
+        senders: &[MailboxSender<ShardCmd>],
+        shard: usize,
+        session: u32,
+        ecg: &[f64],
+        z: &[f64],
+    ) {
+        let batch = match &mut self.pending[shard] {
+            Some(batch) => batch,
+            slot => {
+                let recycled = self.free[shard]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .pop();
+                slot.insert(recycled.unwrap_or_else(|| {
+                    let samples = WIRE_BATCH_RUNS * ecg.len();
+                    WireBatch {
+                        runs: Vec::with_capacity(WIRE_BATCH_RUNS),
+                        ecg: Vec::with_capacity(samples),
+                        z: Vec::with_capacity(samples),
+                    }
+                }))
+            }
+        };
+        batch.runs.push((session, ecg.len()));
+        batch.ecg.extend_from_slice(ecg);
+        batch.z.extend_from_slice(z);
+        if batch.runs.len() == WIRE_BATCH_RUNS {
+            self.send(senders, shard);
+        }
+    }
+
+    /// Sends `shard`'s partly filled batch, if any.
+    fn send(&mut self, senders: &[MailboxSender<ShardCmd>], shard: usize) {
+        if let Some(batch) = self.pending[shard].take() {
+            senders[shard].send(ShardCmd::WireRuns(batch));
+        }
+    }
+
+    /// Sends every partly filled batch: the end of each call that
+    /// dispatched runs, so a later barrier covers all of them.
+    fn flush(&mut self, senders: &[MailboxSender<ShardCmd>]) {
+        for shard in 0..self.pending.len() {
+            self.send(senders, shard);
+        }
+    }
 }
 
 /// One wire session's contribution to a fleet checkpoint.
@@ -391,6 +476,7 @@ fn shard_main(
     rx: &MailboxReceiver<ShardCmd>,
     events: &mpsc::Sender<ShardEvent>,
     health: &ShardHealth,
+    free: &Mutex<Vec<WireBatch>>,
 ) {
     let mut sched = match SessionScheduler::new(config, Vec::new()) {
         Ok(s) => s.with_metric_prefix(&format!("core.fleet.shard{shard}")),
@@ -471,17 +557,31 @@ fn shard_main(
                     wire.entry(session).or_insert((stream, Vec::new()));
                 }
             }
-            ShardCmd::WireSamples { session, ecg, z } => {
-                if let Some((stream, beats)) = wire.get_mut(&session) {
-                    // Channels come from the reassembler, equal-length
-                    // by construction.
-                    if let Ok(mut emitted) = stream.push_qualified(&ecg, &z) {
-                        if !emitted.is_empty() {
-                            wire_beats.add(emitted.len() as u64);
+            ShardCmd::WireRuns(mut batch) => {
+                // Each run is pushed on its own, with its own bounds:
+                // `push_qualified` is not chunk-size invariant on
+                // gap-filled input, so runs are never coalesced.
+                let mut at = 0;
+                for &(session, n) in &batch.runs {
+                    let (ecg, z) = (&batch.ecg[at..at + n], &batch.z[at..at + n]);
+                    at += n;
+                    if let Some((stream, beats)) = wire.get_mut(&session) {
+                        // Channels come from the reassembler,
+                        // equal-length by construction.
+                        if let Ok(mut emitted) = stream.push_qualified(ecg, z) {
+                            if !emitted.is_empty() {
+                                wire_beats.add(emitted.len() as u64);
+                            }
+                            beats.append(&mut emitted);
                         }
-                        beats.append(&mut emitted);
                     }
                 }
+                batch.runs.clear();
+                batch.ecg.clear();
+                batch.z.clear();
+                free.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(batch);
             }
             ShardCmd::WireCollect => {
                 let results = std::mem::take(&mut wire)
@@ -561,6 +661,7 @@ fn spawn_shard(
     rx: MailboxReceiver<ShardCmd>,
     events: mpsc::Sender<ShardEvent>,
     health: Arc<ShardHealth>,
+    free: FreeList,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("fleet-shard-{shard}"))
@@ -569,7 +670,7 @@ fn spawn_shard(
             // map are dropped wholesale, never observed again — there
             // is no broken invariant to leak.
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shard_main(shard, config, &rx, &events, &health);
+                shard_main(shard, config, &rx, &events, &health, &free);
             }));
             if result.is_err() {
                 health.down.store(true, Ordering::SeqCst);
@@ -579,16 +680,17 @@ fn spawn_shard(
         .expect("spawn fleet shard thread")
 }
 
-/// Routes one reassembled sample run to its owning shard. Unknown
-/// sessions auto-admit onto the least-loaded *live* shard; runs bound
-/// for a down shard are shed — losslessly, because the frame is already
-/// in the ingest log and the shard's restart replays the suffix.
+/// Routes one reassembled sample run into its owning shard's batch.
+/// Unknown sessions auto-admit onto the least-loaded *live* shard; runs
+/// bound for a down shard are shed — losslessly, because the frame is
+/// already in the ingest log and the shard's restart replays the suffix.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_wire_run(
     senders: &[MailboxSender<ShardCmd>],
     health: &[Arc<ShardHealth>],
     wire_routing: &mut BTreeMap<u32, usize>,
     wire_counts: &mut [usize],
+    outbox: &mut WireOutbox,
     shed: &mut u64,
     session: u32,
     ecg: &[f64],
@@ -624,11 +726,7 @@ fn dispatch_wire_run(
         *shed += 1;
         return;
     }
-    senders[shard].send(ShardCmd::WireSamples {
-        session,
-        ecg: ecg.to_vec(),
-        z: z.to_vec(),
-    });
+    outbox.append(senders, shard, session, ecg, z);
 }
 
 // ---------------------------------------------------------------------------
@@ -720,10 +818,14 @@ pub struct Fleet {
     wire_routing: BTreeMap<u32, usize>,
     /// Wire sessions per shard, for least-loaded placement.
     wire_counts: Vec<usize>,
-    /// Checkpoint store, present once durable mode is enabled.
+    /// Per-shard run batches and their free lists.
+    wire_outbox: WireOutbox,
+    /// Checkpoint store, present once durable mode is enabled. Its
+    /// newest entry is what a shard restart restores from.
     ckpt_store: Option<CheckpointStore>,
-    /// The last sealed checkpoint — what a shard restart restores from.
-    last_ckpt: Option<Checkpoint>,
+    /// Watermark of the last sealed (or recovered) checkpoint: the log
+    /// compaction target when the next one is sealed.
+    last_watermark: Option<LogPosition>,
     /// Beats drained from shards at checkpoints: durably covered, owned
     /// by the control thread until [`Fleet::wire_collect`] merges them.
     collected: BTreeMap<u32, Vec<QualifiedBeat>>,
@@ -766,6 +868,7 @@ impl Fleet {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut health = Vec::with_capacity(shards);
+        let wire_outbox = WireOutbox::new(shards);
         let now = Instant::now();
         for shard in 0..shards {
             let (tx, rx) = mailbox(mailbox_capacity);
@@ -777,6 +880,7 @@ impl Fleet {
                 rx,
                 event_tx.clone(),
                 Arc::clone(&hp),
+                Arc::clone(&wire_outbox.free[shard]),
             ));
             senders.push(tx);
             health.push(hp);
@@ -807,8 +911,9 @@ impl Fleet {
             wire_door: FrontDoor::new(),
             wire_routing: BTreeMap::new(),
             wire_counts: vec![0; shards],
+            wire_outbox,
             ckpt_store: None,
-            last_ckpt: None,
+            last_watermark: None,
             collected: BTreeMap::new(),
         })
     }
@@ -1061,6 +1166,7 @@ impl Fleet {
             wire_door,
             wire_routing,
             wire_counts,
+            wire_outbox,
             ..
         } = self;
         wire_door.push(chunk, |session, ecg, z| {
@@ -1069,12 +1175,14 @@ impl Fleet {
                 health,
                 wire_routing,
                 wire_counts,
+                wire_outbox,
                 &mut shed,
                 session,
                 ecg,
                 z,
             );
         });
+        wire_outbox.flush(senders);
         if shed > 0 {
             self.rejected.add(shed);
             self.wire_door.count_shed(shed);
@@ -1103,7 +1211,7 @@ impl Fleet {
     pub fn wire_enable_durable(&mut self, policy: SegmentPolicy) {
         self.wire_door = FrontDoor::with_segmented_log(policy);
         self.ckpt_store = Some(CheckpointStore::new());
-        self.last_ckpt = None;
+        self.last_watermark = None;
         self.collected.clear();
     }
 
@@ -1113,7 +1221,8 @@ impl Fleet {
     /// before the current log watermark), appends the checkpoint to the
     /// store, compacts the log to the *previous* checkpoint's watermark
     /// (lag-by-one: a crash mid-append falls back one checkpoint, whose
-    /// suffix must still be replayable), and takes ownership of the
+    /// suffix must still be replayable), retires the store entries
+    /// older than that checkpoint, and takes ownership of the
     /// beats drained from the shards — they are durably covered now and
     /// will be merged back by [`Fleet::wire_collect`]. Counted in
     /// `core.fleet.checkpoints`; wall-clock in
@@ -1165,22 +1274,23 @@ impl Fleet {
                 snapshot: snaps.remove(&session).unwrap_or_default(),
             })
             .collect();
-        let ckpt = Checkpoint {
+        let store = self.ckpt_store.get_or_insert_with(CheckpointStore::new);
+        store.append(&Checkpoint {
             watermark,
             sessions,
-        };
-        self.ckpt_store
-            .get_or_insert_with(CheckpointStore::new)
-            .append(&ckpt);
-        if let Some(prev) = self.last_ckpt.as_ref().map(|c| c.watermark) {
+        });
+        if let Some(prev) = self.last_watermark {
             if let Some(log) = self.wire_door.segmented_log_mut() {
                 let retired = log.compact(&prev);
                 if retired > 0 {
                     self.compactions.add(retired as u64);
                 }
             }
+            // Only this checkpoint and the previous one still have
+            // their log suffix; older entries can never be recovered.
+            store.compact(2);
         }
-        self.last_ckpt = Some(ckpt);
+        self.last_watermark = Some(watermark);
         if let Some(log) = self.wire_door.segmented_log() {
             self.log_segments.set(log.segment_count() as i64);
         }
@@ -1237,7 +1347,7 @@ impl Fleet {
             fleet.wire_routing.insert(sc.session, shard);
             fleet.wire_counts[shard] += 1;
         }
-        fleet.last_ckpt = Some(checkpoint.clone());
+        fleet.last_watermark = Some(checkpoint.watermark);
         // The shards restore in parallel with the replay.
         let mut shed: u64 = 0;
         let Self {
@@ -1246,6 +1356,7 @@ impl Fleet {
             wire_door,
             wire_routing,
             wire_counts,
+            wire_outbox,
             ..
         } = &mut fleet;
         wire_door
@@ -1255,6 +1366,7 @@ impl Fleet {
                     health,
                     wire_routing,
                     wire_counts,
+                    wire_outbox,
                     &mut shed,
                     session,
                     ecg,
@@ -1262,6 +1374,7 @@ impl Fleet {
                 );
             })
             .map_err(suffix_replay_failed)?;
+        wire_outbox.flush(senders);
         if shed > 0 {
             fleet.rejected.add(shed);
             fleet.wire_door.count_shed(shed);
@@ -1283,12 +1396,6 @@ impl Fleet {
     #[must_use]
     pub fn wire_segmented_log(&self) -> Option<&SegmentedLog> {
         self.wire_door.segmented_log()
-    }
-
-    /// The last checkpoint sealed (or recovered from), when any.
-    #[must_use]
-    pub fn last_checkpoint(&self) -> Option<&Checkpoint> {
-        self.last_ckpt.as_ref()
     }
 
     /// Per-session reassembly resume states as the front door holds
@@ -1357,17 +1464,21 @@ impl Fleet {
         // Leftovers: sessions with durably collected beats but no live
         // shard slot (salvaged from an exchange a crash aborted).
         // Synthesize their result from the last checkpoint's snapshot.
+        let last = if collected.is_empty() {
+            None
+        } else {
+            self.sealed_checkpoint().ok().flatten()
+        };
         for (session, beats) in collected {
-            let snap = self
-                .last_ckpt
+            let snap = last
                 .as_ref()
                 .and_then(|c| c.sessions.iter().find(|s| s.session == session))
-                .map(|s| s.snapshot.clone())
+                .map(|s| s.snapshot.as_slice())
                 .unwrap_or_default();
             let stream = if snap.is_empty() {
                 BeatStream::new(self.config).ok()
             } else {
-                BeatStreamSnapshot::from_bytes(&snap)
+                BeatStreamSnapshot::from_bytes(snap)
                     .and_then(|s| BeatStream::restore(self.config, &s))
                     .ok()
             };
@@ -1587,6 +1698,7 @@ impl Fleet {
             rx,
             self.event_tx.clone(),
             Arc::clone(&hp),
+            Arc::clone(&self.wire_outbox.free[shard]),
         );
         // Replacing the sender drops the old one, closing the old
         // mailbox: a merely-wedged (not unwound) old worker exits on
@@ -1607,6 +1719,28 @@ impl Fleet {
         self.quiesce()
     }
 
+    /// The last sealed (or recovered) checkpoint, decoded from the
+    /// store's newest entry; `None` before the first checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::RecoveryFailed`] when the store holds no decodable
+    /// entry at the last watermark.
+    fn sealed_checkpoint(&self) -> Result<Option<Checkpoint>, CoreError> {
+        let Some(watermark) = self.last_watermark else {
+            return Ok(None);
+        };
+        self.ckpt_store
+            .as_ref()
+            .and_then(CheckpointStore::latest)
+            .map(|r| r.checkpoint)
+            .filter(|c| c.watermark == watermark)
+            .map(Some)
+            .ok_or_else(|| CoreError::RecoveryFailed {
+                reason: "the checkpoint store holds no entry at the last watermark".into(),
+            })
+    }
+
     /// Re-creates the restarted shard's wire sessions: engine snapshots
     /// from the last checkpoint (fresh streams for sessions younger than
     /// it), then the sample runs the shard saw after the watermark,
@@ -1614,7 +1748,7 @@ impl Fleet {
     /// reassembler resumed at the checkpoint — filtered to the shard's
     /// own sessions so its peers see nothing.
     fn restore_wire_sessions(&mut self, shard: usize) -> Result<(), CoreError> {
-        let owned: Vec<u32> = self
+        let owned: std::collections::BTreeSet<u32> = self
             .wire_routing
             .iter()
             .filter(|&(_, &s)| s == shard)
@@ -1624,51 +1758,39 @@ impl Fleet {
         if owned.is_empty() {
             return Ok(());
         }
+        let mut last = self.sealed_checkpoint()?;
+        let mut asm = Assembler::new();
         for &session in &owned {
-            let snapshot_bytes = self
-                .last_ckpt
-                .as_ref()
-                .and_then(|c| c.sessions.iter().find(|s| s.session == session))
-                .map(|s| s.snapshot.clone())
-                .unwrap_or_default();
+            let sc = last
+                .as_mut()
+                .and_then(|c| c.sessions.iter_mut().find(|s| s.session == session));
+            if let Some(sc) = &sc {
+                asm.resume_session(session, &sc.resume);
+            }
             self.senders[shard].send(ShardCmd::WireRestore {
                 session,
-                snapshot_bytes,
+                snapshot_bytes: sc
+                    .map(|s| std::mem::take(&mut s.snapshot))
+                    .unwrap_or_default(),
             });
         }
         let Some(log) = self.wire_door.segmented_log() else {
             return Ok(());
         };
-        let from = self
-            .last_ckpt
-            .as_ref()
-            .map_or_else(|| log.start_position(), |c| c.watermark);
-        let owned_set: std::collections::BTreeSet<u32> = owned.into_iter().collect();
-        let mut asm = Assembler::new();
-        if let Some(ckpt) = self.last_ckpt.as_ref() {
-            for sc in &ckpt.sessions {
-                if owned_set.contains(&sc.session) {
-                    asm.resume_session(sc.session, &sc.resume);
-                }
-            }
-        }
-        // Each run goes to the shard as it is reassembled, in log order.
-        let sender = &self.senders[shard];
-        log.replay_from(&from, |frame| {
+        let from = last.map_or_else(|| log.start_position(), |c| c.watermark);
+        // Runs travel in batches, in log order, like the live path.
+        let (senders, outbox) = (&self.senders, &mut self.wire_outbox);
+        let replayed = log.replay_from(&from, |frame| {
             if let Ok((view, _)) = FrameView::parse(frame) {
-                if owned_set.contains(&view.session()) {
+                if owned.contains(&view.session()) {
                     asm.accept(&view, |session, ecg, z| {
-                        sender.send(ShardCmd::WireSamples {
-                            session,
-                            ecg: ecg.to_vec(),
-                            z: z.to_vec(),
-                        });
+                        outbox.append(senders, shard, session, ecg, z);
                     });
                 }
             }
-        })
-        .map_err(suffix_replay_failed)?;
-        Ok(())
+        });
+        outbox.send(senders, shard);
+        replayed.map(drop).map_err(suffix_replay_failed)
     }
 
     fn collect_reports(&mut self, elapsed_s: f64) -> Result<Vec<ScheduleReport>, CoreError> {
@@ -1918,6 +2040,180 @@ mod tests {
     }
 
     #[test]
+    fn batched_wire_transport_matches_wire_hub_bitwise() {
+        use cardiotouch_ingest::{LossyWire, SessionEncoder};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let config = PipelineConfig::paper_default(250.0);
+        let (ecg, z) = templates();
+        let frame_len = 125;
+        let sessions = 64u32;
+        let seconds = 10;
+        // One-slot mailboxes: every full batch meets the blocking send.
+        let capacity = 1;
+        let policy = SegmentPolicy {
+            max_bytes: 256 * 1024,
+            max_frames: 256,
+        };
+        let admit = |fleet: &mut Fleet, session| {
+            while fleet.wire_admit(session).is_err() {
+                std::thread::yield_now();
+            }
+        };
+        // Recycling, checked after a barrier: every batch is back on its
+        // shard's free list, and a shard never holds more batches than
+        // can be in flight at once (pending, queued and in its hands),
+        // however many runs travelled.
+        let recycled = |fleet: &Fleet| {
+            for (shard, free) in fleet.wire_outbox.free.iter().enumerate() {
+                let n = free.lock().unwrap().len();
+                assert!(
+                    (1..=capacity + 2).contains(&n),
+                    "shard {shard} of {}: {n} batches on its free list",
+                    fleet.shards()
+                );
+            }
+        };
+        for shards in 1..=4usize {
+            let mut rng = StdRng::seed_from_u64(shards as u64);
+            // One second of interleaved frames per buffer, through a
+            // lossy link so gap-filled runs travel too.
+            let mut link = LossyWire::new(shards as u64, 0.02, 0.02);
+            let mut encoders: Vec<SessionEncoder> =
+                (0..sessions).map(SessionEncoder::new).collect();
+            let mut frame = Vec::new();
+            let mut per_second: Vec<Vec<u8>> = Vec::new();
+            for s in 0..seconds {
+                let mut buf = Vec::new();
+                for c in 0..(250 / frame_len) {
+                    for (i, enc) in encoders.iter_mut().enumerate() {
+                        let off = (i * 977 + s * 250 + c * frame_len) % (ecg.len() - frame_len);
+                        frame.clear();
+                        enc.push_frame(
+                            &ecg[off..off + frame_len],
+                            &z[off..off + frame_len],
+                            &mut frame,
+                        )
+                        .unwrap();
+                        link.transmit(&frame, &mut buf);
+                    }
+                }
+                per_second.push(buf);
+            }
+            assert!(link.dropped() > 0, "the link should lose frames");
+            // Each second reaches the fleet in pieces cut at random
+            // points, mid-frame included.
+            let pieces: Vec<Vec<&[u8]>> = per_second
+                .iter()
+                .map(|buf| {
+                    let mut cuts: Vec<usize> = (0..rng.gen::<u64>() % 4)
+                        .map(|_| (rng.gen::<u64>() % (buf.len() as u64 + 1)) as usize)
+                        .collect();
+                    cuts.extend([0, buf.len()]);
+                    cuts.sort_unstable();
+                    cuts.windows(2).map(|w| &buf[w[0]..w[1]]).collect()
+                })
+                .collect();
+
+            let mut hub = crate::wire::WireHub::new(config).unwrap();
+            for buf in &per_second {
+                hub.push(buf).unwrap();
+            }
+            let want = hub.finish();
+            assert_eq!(want.len(), sessions as usize);
+
+            // First incarnation: checkpoint, a shard crash and restart
+            // after the first piece of a second (mid-second when it was
+            // cut), a second checkpoint, one more second, then the
+            // process dies.
+            let crashed = shards - 1;
+            let mut first = Fleet::new(config, shards, capacity).unwrap();
+            first.wire_enable_durable(policy);
+            for s in 0..sessions {
+                admit(&mut first, s);
+            }
+            let mut covered = BTreeMap::new();
+            for (sec, second) in pieces[..7].iter().enumerate() {
+                for (k, piece) in second.iter().enumerate() {
+                    first.wire_push(piece);
+                    if sec == 4 && k == 0 {
+                        first.inject_shard_panic(crashed);
+                        assert!(matches!(
+                            first.checkpoint(),
+                            Err(CoreError::ShardDown { shard }) if shard == crashed
+                        ));
+                        first.restart_shard(crashed).unwrap();
+                    }
+                }
+                if sec == 2 || sec == 5 {
+                    first.checkpoint().unwrap();
+                    covered = first
+                        .collected
+                        .iter()
+                        .map(|(&s, beats)| (s, beats.len()))
+                        .collect();
+                }
+            }
+            assert!(
+                covered.values().sum::<usize>() > 0,
+                "checkpoints drained no beats"
+            );
+            let store_bytes = first.checkpoint_store_bytes().unwrap().to_vec();
+            let log = first.wire_segmented_log().unwrap().clone();
+            for r in first.wire_collect().unwrap() {
+                let w = &want[r.session as usize];
+                let prefix = WireSessionResult {
+                    beats: w.beats[..r.beats.len()].to_vec(),
+                    ..r.clone()
+                };
+                assert!(
+                    r.bitwise_eq(&prefix),
+                    "session {} before the crash",
+                    r.session
+                );
+            }
+            recycled(&first);
+            drop(first);
+
+            // Cold start on a different shard count: the replay of the
+            // second past the checkpoint travels in batches too.
+            let recovered = cardiotouch_ingest::recover_latest(&store_bytes)
+                .unwrap()
+                .expect("sealed checkpoint must recover");
+            let (store, _) = CheckpointStore::from_valid_prefix(&store_bytes).unwrap();
+            let mut second = Fleet::recover(
+                config,
+                5 - shards,
+                capacity,
+                store,
+                &recovered.checkpoint,
+                log,
+            )
+            .unwrap();
+            for piece in pieces[7..].iter().flatten() {
+                second.wire_push(piece);
+            }
+            second.reports(0.0).unwrap();
+            recycled(&second);
+            let tail = second.shutdown_graceful().unwrap();
+
+            assert_eq!(tail.len(), want.len());
+            for (t, w) in tail.iter().zip(&want) {
+                let n = covered.get(&t.session).copied().unwrap_or(0);
+                let mut beats = w.beats[..n].to_vec();
+                beats.extend(t.beats.iter().cloned());
+                let merged = WireSessionResult { beats, ..t.clone() };
+                assert!(
+                    merged.bitwise_eq(w),
+                    "{shards} shards: session {} diverged from the hub",
+                    t.session
+                );
+            }
+        }
+    }
+
+    #[test]
     fn panicked_shard_surfaces_shard_down_not_a_hang() {
         let config = PipelineConfig::paper_default(250.0);
         let mut fleet = Fleet::new(config, 2, 8).unwrap();
@@ -2141,21 +2437,25 @@ mod tests {
             fleet.wire_push(&buf);
         }
         fleet.checkpoint().unwrap();
-        // Only a forged in-memory checkpoint reaches this path: every
-        // sealed or recovered one has restored once already.
+        // Only a forged store entry reaches this path: every sealed or
+        // recovered checkpoint has restored once already. The forgery
+        // is CRC-valid and sits at the last watermark, with the
+        // victim's snapshot cut in half.
         let victim = *fleet
             .wire_routing
             .iter()
             .find(|&(_, &shard)| shard == 0)
             .expect("shard 0 owns a session")
             .0;
-        let ckpt = fleet.last_ckpt.as_mut().unwrap();
-        let entry = ckpt
+        let store = fleet.ckpt_store.as_mut().unwrap();
+        let mut forged = store.latest().unwrap().checkpoint;
+        let entry = forged
             .sessions
             .iter_mut()
             .find(|s| s.session == victim)
             .unwrap();
         entry.snapshot.truncate(entry.snapshot.len() / 2);
+        store.append(&forged);
         fleet.inject_shard_panic(0);
         assert!(matches!(
             fleet.checkpoint(),

@@ -510,7 +510,8 @@ impl WireHub {
     /// and engine snapshot at the current log watermark to `store`,
     /// compacts the log to the *previous* checkpoint's watermark
     /// (lag-by-one: a crash mid-append falls back one checkpoint, whose
-    /// suffix must still be on disk), and drains the beats emitted
+    /// suffix must still be on disk), retires the store entries older
+    /// than that checkpoint, and drains the beats emitted
     /// since the last checkpoint — they are durably covered now, so the
     /// caller owns them.
     ///
@@ -548,6 +549,8 @@ impl WireHub {
             if let Some(log) = self.door.segmented_log_mut() {
                 log.compact(&prev);
             }
+            // Older entries lost their log suffix just now.
+            store.compact(2);
         }
         self.last_watermark = Some(watermark);
         let drained = self

@@ -18,7 +18,9 @@
 //! *durable* once the following append begins; callers compact the
 //! ingest log only to the previous durable checkpoint, which keeps the
 //! fall-back-one-checkpoint recovery path replayable (see
-//! [`crate::segment`]).
+//! [`crate::segment`]). Entries older than that have lost their log
+//! suffix, so [`CheckpointStore::compact`] retires them beside the log
+//! compaction and re-chains the entries that stay.
 //!
 //! # Checkpoint payload (all little-endian)
 //!
@@ -247,12 +249,42 @@ pub fn decode_checkpoint(data: &[u8]) -> Option<Checkpoint> {
     })
 }
 
+/// `crc16_update(crc, &[0; len])` in O(log len): the register is linear
+/// in its initial value, so `len` zero bytes multiply it by `x^(8·len)`
+/// modulo the CCITT polynomial `0x11021`.
+fn crc16_shift(crc: u16, len: usize) -> u16 {
+    fn mul_mod(a: u16, b: u16) -> u16 {
+        let mut r = 0u16;
+        for i in (0..16).rev() {
+            r = if r & 0x8000 != 0 {
+                (r << 1) ^ 0x1021
+            } else {
+                r << 1
+            };
+            if (b >> i) & 1 != 0 {
+                r ^= a;
+            }
+        }
+        r
+    }
+    let (mut power, mut base, mut n) = (1u16, 2u16, 8 * len as u64);
+    while n > 0 {
+        if n & 1 != 0 {
+            power = mul_mod(power, base);
+        }
+        base = mul_mod(base, base);
+        n >>= 1;
+    }
+    mul_mod(crc, power)
+}
+
 /// In-memory append-only checkpoint store writer.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     buf: Vec<u8>,
     chain: u16,
-    entries: u64,
+    /// Payload span of every entry, oldest first.
+    spans: Vec<std::ops::Range<usize>>,
 }
 
 impl Default for CheckpointStore {
@@ -268,7 +300,7 @@ impl CheckpointStore {
         Self {
             buf: CHECKPOINT_MAGIC.to_vec(),
             chain: crc16(&CHECKPOINT_MAGIC),
-            entries: 0,
+            spans: Vec::new(),
         }
     }
 
@@ -294,14 +326,76 @@ impl CheckpointStore {
         self.buf[header_at..header_at + 4].copy_from_slice(&len_le);
         self.buf[header_at + 4..header_at + 6].copy_from_slice(&next.to_le_bytes());
         self.chain = next;
-        self.entries += 1;
+        self.spans.push(payload_at..self.buf.len());
         payload_len + 6
     }
 
-    /// Checkpoints appended so far.
+    /// Retires every entry but the newest `keep`, once those dead
+    /// entries take at least as many bytes as the entries that stay, so
+    /// the move of the kept tail amortises over the appends that grew
+    /// the dead prefix. Returns the number of entries retired (0 when
+    /// the prefix is still too small).
+    ///
+    /// The kept entries are re-chained without reading their payloads:
+    /// an entry's chain is `crc0(payload) ^ shift(state)` with `state`
+    /// the register after its predecessor's chain bytes, so swapping
+    /// the predecessor only xors in the shifted difference of the two
+    /// states. The result is byte-identical to a fresh store that
+    /// appended only the kept checkpoints.
+    pub fn compact(&mut self, keep: usize) -> usize {
+        let dead = self.spans.len().saturating_sub(keep);
+        if dead == 0 {
+            return 0;
+        }
+        let cut = self
+            .spans
+            .get(dead)
+            .map_or(self.buf.len(), |span| span.start - 6);
+        let dead_bytes = cut - CHECKPOINT_MAGIC.len();
+        if dead_bytes < self.buf.len() - cut {
+            return 0;
+        }
+        let state = |prev: u16| crc16_update(0xFFFF, &prev.to_le_bytes());
+        let chain_at = |buf: &[u8], span: &std::ops::Range<usize>| {
+            u16::from_le_bytes([buf[span.start - 2], buf[span.start - 1]])
+        };
+        let mut old_prev = chain_at(&self.buf, &self.spans[dead - 1]);
+        let mut new_prev = crc16(&CHECKPOINT_MAGIC);
+        for span in &self.spans[dead..] {
+            let old = chain_at(&self.buf, span);
+            let new = old ^ crc16_shift(state(old_prev) ^ state(new_prev), span.len());
+            self.buf[span.start - 2..span.start].copy_from_slice(&new.to_le_bytes());
+            (old_prev, new_prev) = (old, new);
+        }
+        self.chain = new_prev;
+        self.buf.drain(CHECKPOINT_MAGIC.len()..cut);
+        self.spans.drain(..dead);
+        for span in &mut self.spans {
+            *span = span.start - dead_bytes..span.end - dead_bytes;
+        }
+        dead
+    }
+
+    /// Checkpoints held: appended or reopened, minus those retired by
+    /// [`CheckpointStore::compact`].
     #[must_use]
     pub fn entries(&self) -> u64 {
-        self.entries
+        self.spans.len() as u64
+    }
+
+    /// Byte offset of the newest entry's header: where a crash cut
+    /// inside the append in flight falls. `None` for an empty store.
+    #[must_use]
+    pub fn newest_entry_start(&self) -> Option<usize> {
+        self.spans.last().map(|span| span.start - 6)
+    }
+
+    /// The newest decodable checkpoint held, exactly as
+    /// [`recover_latest`] would return it from [`CheckpointStore::as_bytes`]
+    /// but without the CRC walk.
+    #[must_use]
+    pub fn latest(&self) -> Option<RecoveredCheckpoint> {
+        newest_decodable(&self.buf, &self.spans)
     }
 
     /// The serialized store, header included.
@@ -337,12 +431,13 @@ impl CheckpointStore {
             return Ok((Self::new(), None));
         }
         let prefix = ValidPrefix::walk(data)?;
+        let newest = newest_decodable(data, &prefix.payloads);
         let store = Self {
             buf: data[..prefix.end].to_vec(),
             chain: prefix.chain,
-            entries: prefix.payloads.len() as u64,
+            spans: prefix.payloads,
         };
-        Ok((store, prefix.newest_decodable(data)))
+        Ok((store, newest))
     }
 }
 
@@ -351,7 +446,9 @@ impl CheckpointStore {
 pub struct RecoveredCheckpoint {
     /// The newest decodable checkpoint in the valid prefix.
     pub checkpoint: Checkpoint,
-    /// Zero-based index of that entry in the store.
+    /// Zero-based index of that entry among the entries the store
+    /// holds — not a seal count once [`CheckpointStore::compact`] has
+    /// retired older entries.
     pub index: u64,
     /// Total valid entries read (`index + 1`).
     pub entries: u64,
@@ -404,24 +501,23 @@ impl ValidPrefix {
             payloads,
         })
     }
+}
 
-    /// Decodes from the newest valid entry backward and returns the
-    /// first that decodes — older entries are never touched when the
-    /// newest one is intact.
-    fn newest_decodable(&self, data: &[u8]) -> Option<RecoveredCheckpoint> {
-        self.payloads
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(index, span)| {
-                let index = index as u64;
-                decode_checkpoint(&data[span.clone()]).map(|checkpoint| RecoveredCheckpoint {
-                    checkpoint,
-                    index,
-                    entries: index + 1,
-                })
-            })
-    }
+/// Decodes from the newest entry backward and returns the first that
+/// decodes — older entries are never touched when the newest one is
+/// intact.
+fn newest_decodable(
+    data: &[u8],
+    payloads: &[std::ops::Range<usize>],
+) -> Option<RecoveredCheckpoint> {
+    payloads.iter().enumerate().rev().find_map(|(index, span)| {
+        let index = index as u64;
+        decode_checkpoint(&data[span.clone()]).map(|checkpoint| RecoveredCheckpoint {
+            checkpoint,
+            index,
+            entries: index + 1,
+        })
+    })
 }
 
 /// Returns the newest decodable checkpoint in the longest CRC-valid
@@ -440,7 +536,7 @@ pub fn recover_latest(data: &[u8]) -> Result<Option<RecoveredCheckpoint>, LogErr
     if data.is_empty() {
         return Ok(None);
     }
-    Ok(ValidPrefix::walk(data)?.newest_decodable(data))
+    Ok(newest_decodable(data, &ValidPrefix::walk(data)?.payloads))
 }
 
 #[cfg(test)]
@@ -538,6 +634,44 @@ mod tests {
         let got = recover_latest(reopened.as_bytes()).unwrap().unwrap();
         assert_eq!(got.checkpoint, sample_checkpoint(3));
         assert_eq!(got.entries, 2);
+    }
+
+    #[test]
+    fn crc16_shift_equals_feeding_zero_bytes() {
+        for crc in [0u16, 1, 0x8000, 0xFFFF, 0x29B1] {
+            for len in [0usize, 1, 2, 7, 64, 1000, 4099] {
+                assert_eq!(
+                    crc16_shift(crc, len),
+                    crc16_update(crc, &vec![0u8; len]),
+                    "crc {crc:#06x}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_waits_for_a_dead_prefix_as_large_as_the_kept_tail() {
+        let mut store = CheckpointStore::new();
+        for n in 1..=3 {
+            store.append(&sample_checkpoint(4));
+            // One dead entry against two kept ones: too small to move.
+            assert_eq!(store.compact(2), 0, "after seal {n}");
+        }
+        store.append(&sample_checkpoint(4));
+        assert_eq!(store.compact(2), 2);
+        let mut fresh = CheckpointStore::new();
+        fresh.append(&sample_checkpoint(4));
+        fresh.append(&sample_checkpoint(4));
+        assert_eq!(store.as_bytes(), fresh.as_bytes());
+        assert_eq!(store.entries(), 2);
+        assert_eq!(store.newest_entry_start(), fresh.newest_entry_start());
+        assert_eq!(store.latest(), recover_latest(fresh.as_bytes()).unwrap());
+        // Everything dead: back to the bare header and its chain.
+        assert_eq!(store.compact(0), 2);
+        store.append(&sample_checkpoint(2));
+        let mut fresh = CheckpointStore::new();
+        fresh.append(&sample_checkpoint(2));
+        assert_eq!(store.as_bytes(), fresh.as_bytes());
     }
 
     #[test]

@@ -612,4 +612,63 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn oracle_store_compaction_equals_fresh_store(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = CheckpointStore::new();
+        // The model: payloads of the entries the store should hold.
+        let mut kept: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..1 + below(&mut rng, 24) {
+            match below(&mut rng, 4) {
+                0 | 1 => {
+                    let ckpt = random_checkpoint(&mut rng);
+                    store.append(&ckpt);
+                    kept.push(encode_checkpoint(&ckpt));
+                }
+                2 => {
+                    let keep = below(&mut rng, 4);
+                    let dead = kept.len().saturating_sub(keep);
+                    let size = |p: &[Vec<u8>]| p.iter().map(|e| 6 + e.len()).sum::<usize>();
+                    let want = if dead > 0 && size(&kept[..dead]) >= size(&kept[dead..]) {
+                        kept.drain(..dead);
+                        dead
+                    } else {
+                        0
+                    };
+                    prop_assert_eq!(store.compact(keep), want);
+                }
+                _ => {
+                    // Reopen, often crash-cut: the model keeps the
+                    // entries that end inside the cut.
+                    let bytes = store.as_bytes();
+                    let cut = if rng.gen::<bool>() {
+                        bytes.len()
+                    } else {
+                        below(&mut rng, bytes.len() + 1).max(CHECKPOINT_MAGIC.len())
+                    };
+                    let mut end = CHECKPOINT_MAGIC.len();
+                    let intact = kept
+                        .iter()
+                        .take_while(|e| {
+                            end += 6 + e.len();
+                            end <= cut
+                        })
+                        .count();
+                    kept.truncate(intact);
+                    store = CheckpointStore::from_valid_prefix(&bytes[..cut])
+                        .expect("magic intact")
+                        .0;
+                }
+            }
+            let mut fresh = CheckpointStore::new();
+            for payload in &kept {
+                fresh.append(&decode_checkpoint(payload).expect("model payload decodes"));
+            }
+            prop_assert_eq!(store.as_bytes(), fresh.as_bytes());
+            prop_assert_eq!(store.entries(), kept.len() as u64);
+            prop_assert_eq!(store.newest_entry_start(), fresh.newest_entry_start());
+            prop_assert_eq!(store.latest(), recover_latest(fresh.as_bytes()).expect("magic"));
+        }
+    }
 }
