@@ -31,7 +31,10 @@
 //! session's stream on its own, never coalesced, and hands the emptied
 //! buffers back through a per-shard free list, so the steady state
 //! allocates nothing. A 256-session fleet on two shards thus sends
-//! about 32 messages per 1 s slot instead of 512. Batches stay small
+//! about 32 messages per 1 s slot instead of 512. The two halves need
+//! each other: recycling alone measured no consistent gain, and the
+//! same batches allocated fresh each time kept only about half of the
+//! `slot_p50_ms` drop on serve-steady. Batches stay small
 //! because the shards should start while the control thread is still
 //! decoding: one batch per shard per push measured ×0.88
 //! `sustained_sessions` on serve-steady, and 64-run batches gave back
@@ -73,6 +76,7 @@ use std::time::{Duration, Instant};
 
 use std::collections::BTreeMap;
 
+use cardiotouch_ingest::checkpoint::decode_checkpoint;
 use cardiotouch_ingest::{
     Assembler, Checkpoint, CheckpointStore, FrameView, LogPosition, SegmentPolicy, SegmentedLog,
     SessionCheckpoint, SessionResume,
@@ -821,7 +825,7 @@ pub struct Fleet {
     /// Per-shard run batches and their free lists.
     wire_outbox: WireOutbox,
     /// Checkpoint store, present once durable mode is enabled. Its
-    /// newest entry is what a shard restart restores from.
+    /// entry at `last_watermark` is what a shard restart restores from.
     ckpt_store: Option<CheckpointStore>,
     /// Watermark of the last sealed (or recovered) checkpoint: the log
     /// compaction target when the next one is sealed.
@@ -1286,9 +1290,7 @@ impl Fleet {
                     self.compactions.add(retired as u64);
                 }
             }
-            // Only this checkpoint and the previous one still have
-            // their log suffix; older entries can never be recovered.
-            store.compact(2);
+            store.retire_stale();
         }
         self.last_watermark = Some(watermark);
         if let Some(log) = self.wire_door.segmented_log() {
@@ -1315,7 +1317,8 @@ impl Fleet {
     /// * [`Fleet::new`]'s construction surface;
     /// * [`CoreError::RecoveryFailed`] naming the session for an
     ///   unusable snapshot, for a watermark below the oldest retained
-    ///   segment (checked before any shard starts), or for a suffix
+    ///   segment or a `store` holding no entry at it (both checked
+    ///   before any shard starts), or for a suffix
     ///   that fails validation (a watermark chain CRC that does not
     ///   match the log, corruption).
     pub fn recover(
@@ -1328,6 +1331,13 @@ impl Fleet {
     ) -> Result<Self, CoreError> {
         log.check_retained(&checkpoint.watermark)
             .map_err(suffix_replay_failed)?;
+        // Restarts and `wire_collect` decode the checkpoint from the
+        // store again, so the store must hold it.
+        if store.entry_at(&checkpoint.watermark).is_none() {
+            return Err(CoreError::RecoveryFailed {
+                reason: "the checkpoint store holds no entry at the checkpoint's watermark".into(),
+            });
+        }
         let mut fleet = Self::new(config, shards, mailbox_capacity)?;
         fleet.wire_door.install_segmented_log(log);
         fleet.ckpt_store = Some(store);
@@ -1439,7 +1449,10 @@ impl Fleet {
     /// # Errors
     ///
     /// * [`CoreError::ShardDown`] when a shard is down (restart first);
-    /// * [`CoreError::FleetWorkerLost`] if a shard thread died.
+    /// * [`CoreError::FleetWorkerLost`] if a shard thread died;
+    /// * [`CoreError::RecoveryFailed`] when a session with durably
+    ///   collected beats but no shard slot needs the last checkpoint
+    ///   and the store holds no decodable entry at its watermark.
     pub fn wire_collect(&mut self) -> Result<Vec<WireSessionResult>, CoreError> {
         self.check_down()?;
         for tx in &self.senders {
@@ -1467,7 +1480,7 @@ impl Fleet {
         let last = if collected.is_empty() {
             None
         } else {
-            self.sealed_checkpoint().ok().flatten()
+            self.sealed_checkpoint()?
         };
         for (session, beats) in collected {
             let snap = last
@@ -1720,7 +1733,7 @@ impl Fleet {
     }
 
     /// The last sealed (or recovered) checkpoint, decoded from the
-    /// store's newest entry; `None` before the first checkpoint.
+    /// store entry at its watermark; `None` before the first checkpoint.
     ///
     /// # Errors
     ///
@@ -1732,9 +1745,8 @@ impl Fleet {
         };
         self.ckpt_store
             .as_ref()
-            .and_then(CheckpointStore::latest)
-            .map(|r| r.checkpoint)
-            .filter(|c| c.watermark == watermark)
+            .and_then(|store| store.entry_at(&watermark))
+            .and_then(decode_checkpoint)
             .map(Some)
             .ok_or_else(|| CoreError::RecoveryFailed {
                 reason: "the checkpoint store holds no entry at the last watermark".into(),
@@ -2448,7 +2460,10 @@ mod tests {
             .expect("shard 0 owns a session")
             .0;
         let store = fleet.ckpt_store.as_mut().unwrap();
-        let mut forged = store.latest().unwrap().checkpoint;
+        let mut forged = cardiotouch_ingest::recover_latest(store.as_bytes())
+            .unwrap()
+            .unwrap()
+            .checkpoint;
         let entry = forged
             .sessions
             .iter_mut()
@@ -2520,14 +2535,9 @@ mod tests {
                 watermark,
                 sessions: Vec::new(),
             };
-            let fleet = Fleet::recover(
-                config,
-                2,
-                64,
-                CheckpointStore::new(),
-                &checkpoint,
-                log.clone(),
-            );
+            let mut store = CheckpointStore::new();
+            store.append(&checkpoint);
+            let fleet = Fleet::recover(config, 2, 64, store, &checkpoint, log.clone());
             let hub = WireHub::recover(config, &checkpoint, log.clone());
             for err in [fleet.err(), hub.err()] {
                 assert!(
@@ -2536,5 +2546,21 @@ mod tests {
                 );
             }
         }
+        // A store that does not hold the checkpoint is refused as well:
+        // a restart would decode the checkpoint from it.
+        let checkpoint = Checkpoint {
+            watermark: mark,
+            sessions: Vec::new(),
+        };
+        let mut store = CheckpointStore::new();
+        store.append(&Checkpoint {
+            watermark: log.start_position(),
+            sessions: Vec::new(),
+        });
+        let err = Fleet::recover(config, 2, 64, store, &checkpoint, log).err();
+        assert!(
+            matches!(&err, Some(CoreError::RecoveryFailed { reason }) if reason.contains("holds no entry")),
+            "{err:?}"
+        );
     }
 }

@@ -549,8 +549,7 @@ impl WireHub {
             if let Some(log) = self.door.segmented_log_mut() {
                 log.compact(&prev);
             }
-            // Older entries lost their log suffix just now.
-            store.compact(2);
+            store.retire_stale();
         }
         self.last_watermark = Some(watermark);
         let drained = self

@@ -19,8 +19,8 @@
 //! ingest log only to the previous durable checkpoint, which keeps the
 //! fall-back-one-checkpoint recovery path replayable (see
 //! [`crate::segment`]). Entries older than that have lost their log
-//! suffix, so [`CheckpointStore::compact`] retires them beside the log
-//! compaction and re-chains the entries that stay.
+//! suffix, so [`CheckpointStore::retire_stale`] retires them beside the
+//! log compaction and re-chains the entries that stay.
 //!
 //! # Checkpoint payload (all little-endian)
 //!
@@ -190,20 +190,26 @@ pub fn encode_checkpoint_into(ckpt: &Checkpoint, buf: &mut Vec<u8>) {
     }
 }
 
+/// Reads a payload's version and watermark: the head of
+/// [`decode_checkpoint`], without the sessions.
+fn decode_head(c: &mut Cursor<'_>) -> Option<LogPosition> {
+    if c.u16()? != CHECKPOINT_VERSION {
+        return None;
+    }
+    Some(LogPosition {
+        segment: c.u64()?,
+        offset: usize::try_from(c.u64()?).ok()?,
+        chain: c.u16()?,
+        frames: c.u64()?,
+    })
+}
+
 /// Deserializes one checkpoint payload; `None` for a malformed or
 /// version-mismatched buffer.
 #[must_use]
 pub fn decode_checkpoint(data: &[u8]) -> Option<Checkpoint> {
     let mut c = Cursor { data, pos: 0 };
-    if c.u16()? != CHECKPOINT_VERSION {
-        return None;
-    }
-    let watermark = LogPosition {
-        segment: c.u64()?,
-        offset: usize::try_from(c.u64()?).ok()?,
-        chain: c.u16()?,
-        frames: c.u64()?,
-    };
+    let watermark = decode_head(&mut c)?;
     let n_sessions = c.u32()? as usize;
     let mut sessions = Vec::with_capacity(n_sessions.min(4096));
     for _ in 0..n_sessions {
@@ -249,34 +255,15 @@ pub fn decode_checkpoint(data: &[u8]) -> Option<Checkpoint> {
     })
 }
 
-/// `crc16_update(crc, &[0; len])` in O(log len): the register is linear
-/// in its initial value, so `len` zero bytes multiply it by `x^(8·len)`
-/// modulo the CCITT polynomial `0x11021`.
-fn crc16_shift(crc: u16, len: usize) -> u16 {
-    fn mul_mod(a: u16, b: u16) -> u16 {
-        let mut r = 0u16;
-        for i in (0..16).rev() {
-            r = if r & 0x8000 != 0 {
-                (r << 1) ^ 0x1021
-            } else {
-                r << 1
-            };
-            if (b >> i) & 1 != 0 {
-                r ^= a;
-            }
-        }
-        r
-    }
-    let (mut power, mut base, mut n) = (1u16, 2u16, 8 * len as u64);
-    while n > 0 {
-        if n & 1 != 0 {
-            power = mul_mod(power, base);
-        }
-        base = mul_mod(base, base);
-        n >>= 1;
-    }
-    mul_mod(crc, power)
+/// An entry's chain CRC: `crc16(prev_chain LE bytes || payload)`.
+fn chain_crc(prev: u16, payload: &[u8]) -> u16 {
+    crc16_update(crc16_update(0xFFFF, &prev.to_le_bytes()), payload)
 }
+
+/// Entries [`CheckpointStore::retire_stale`] keeps: the newest
+/// checkpoint and the one before it, the only two whose ingest-log
+/// suffix survives lag-by-one log compaction.
+const LIVE_ENTRIES: usize = 2;
 
 /// In-memory append-only checkpoint store writer.
 #[derive(Debug, Clone)]
@@ -316,10 +303,7 @@ impl CheckpointStore {
         let payload_at = self.buf.len();
         encode_checkpoint_into(ckpt, &mut self.buf);
         let payload_len = self.buf.len() - payload_at;
-        let next = crc16_update(
-            crc16_update(0xFFFF, &self.chain.to_le_bytes()),
-            &self.buf[payload_at..],
-        );
+        let next = chain_crc(self.chain, &self.buf[payload_at..]);
         let len_le = u32::try_from(payload_len)
             .expect("checkpoint length fits u32")
             .to_le_bytes();
@@ -330,44 +314,35 @@ impl CheckpointStore {
         payload_len + 6
     }
 
-    /// Retires every entry but the newest `keep`, once those dead
-    /// entries take at least as many bytes as the entries that stay, so
-    /// the move of the kept tail amortises over the appends that grew
-    /// the dead prefix. Returns the number of entries retired (0 when
-    /// the prefix is still too small).
+    /// Retires every entry older than the previous checkpoint. Callers
+    /// compact the ingest log to the previous checkpoint's watermark
+    /// (lag-by-one), so those older entries have lost their log suffix
+    /// and can never be recovered. Retirement waits until the dead
+    /// entries take at least as many bytes as the two that stay, so the
+    /// move and re-chain of the kept tail amortise over the appends
+    /// that grew the dead prefix. Returns the number of entries retired
+    /// (0 while the prefix is still too small).
     ///
-    /// The kept entries are re-chained without reading their payloads:
-    /// an entry's chain is `crc0(payload) ^ shift(state)` with `state`
-    /// the register after its predecessor's chain bytes, so swapping
-    /// the predecessor only xors in the shifted difference of the two
-    /// states. The result is byte-identical to a fresh store that
-    /// appended only the kept checkpoints.
-    pub fn compact(&mut self, keep: usize) -> usize {
-        let dead = self.spans.len().saturating_sub(keep);
+    /// The kept entries are re-chained from the header exactly as
+    /// [`CheckpointStore::append`] chains them, so the result is
+    /// byte-identical to a fresh store that appended only the kept
+    /// checkpoints.
+    pub fn retire_stale(&mut self) -> usize {
+        let dead = self.spans.len().saturating_sub(LIVE_ENTRIES);
         if dead == 0 {
             return 0;
         }
-        let cut = self
-            .spans
-            .get(dead)
-            .map_or(self.buf.len(), |span| span.start - 6);
+        let cut = self.spans[dead].start - 6;
         let dead_bytes = cut - CHECKPOINT_MAGIC.len();
         if dead_bytes < self.buf.len() - cut {
             return 0;
         }
-        let state = |prev: u16| crc16_update(0xFFFF, &prev.to_le_bytes());
-        let chain_at = |buf: &[u8], span: &std::ops::Range<usize>| {
-            u16::from_le_bytes([buf[span.start - 2], buf[span.start - 1]])
-        };
-        let mut old_prev = chain_at(&self.buf, &self.spans[dead - 1]);
-        let mut new_prev = crc16(&CHECKPOINT_MAGIC);
+        let mut chain = crc16(&CHECKPOINT_MAGIC);
         for span in &self.spans[dead..] {
-            let old = chain_at(&self.buf, span);
-            let new = old ^ crc16_shift(state(old_prev) ^ state(new_prev), span.len());
-            self.buf[span.start - 2..span.start].copy_from_slice(&new.to_le_bytes());
-            (old_prev, new_prev) = (old, new);
+            chain = chain_crc(chain, &self.buf[span.clone()]);
+            self.buf[span.start - 2..span.start].copy_from_slice(&chain.to_le_bytes());
         }
-        self.chain = new_prev;
+        self.chain = chain;
         self.buf.drain(CHECKPOINT_MAGIC.len()..cut);
         self.spans.drain(..dead);
         for span in &mut self.spans {
@@ -377,7 +352,7 @@ impl CheckpointStore {
     }
 
     /// Checkpoints held: appended or reopened, minus those retired by
-    /// [`CheckpointStore::compact`].
+    /// [`CheckpointStore::retire_stale`].
     #[must_use]
     pub fn entries(&self) -> u64 {
         self.spans.len() as u64
@@ -390,12 +365,22 @@ impl CheckpointStore {
         self.spans.last().map(|span| span.start - 6)
     }
 
-    /// The newest decodable checkpoint held, exactly as
-    /// [`recover_latest`] would return it from [`CheckpointStore::as_bytes`]
-    /// but without the CRC walk.
+    /// Payload of the newest entry sealed at `watermark`, found by
+    /// reading entry heads only; [`decode_checkpoint`] turns it into
+    /// the checkpoint. `None` when no entry held has that watermark.
     #[must_use]
-    pub fn latest(&self) -> Option<RecoveredCheckpoint> {
-        newest_decodable(&self.buf, &self.spans)
+    pub fn entry_at(&self, watermark: &LogPosition) -> Option<&[u8]> {
+        self.spans
+            .iter()
+            .rev()
+            .map(|span| &self.buf[span.clone()])
+            .find(|payload| {
+                let mut head = Cursor {
+                    data: payload,
+                    pos: 0,
+                };
+                decode_head(&mut head).as_ref() == Some(watermark)
+            })
     }
 
     /// The serialized store, header included.
@@ -447,7 +432,7 @@ pub struct RecoveredCheckpoint {
     /// The newest decodable checkpoint in the valid prefix.
     pub checkpoint: Checkpoint,
     /// Zero-based index of that entry among the entries the store
-    /// holds — not a seal count once [`CheckpointStore::compact`] has
+    /// holds — not a seal count once [`CheckpointStore::retire_stale`] has
     /// retired older entries.
     pub index: u64,
     /// Total valid entries read (`index + 1`).
@@ -484,10 +469,7 @@ impl ValidPrefix {
                 break; // corrupt length or crash-cut tail
             }
             let stored = u16::from_le_bytes(rest[4..6].try_into().expect("2 bytes"));
-            let computed = crc16_update(
-                crc16_update(0xFFFF, &chain.to_le_bytes()),
-                &rest[6..6 + len],
-            );
+            let computed = chain_crc(chain, &rest[6..6 + len]);
             if stored != computed {
                 break; // corruption: trust only the prefix
             }
@@ -637,40 +619,35 @@ mod tests {
     }
 
     #[test]
-    fn crc16_shift_equals_feeding_zero_bytes() {
-        for crc in [0u16, 1, 0x8000, 0xFFFF, 0x29B1] {
-            for len in [0usize, 1, 2, 7, 64, 1000, 4099] {
-                assert_eq!(
-                    crc16_shift(crc, len),
-                    crc16_update(crc, &vec![0u8; len]),
-                    "crc {crc:#06x}, len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn compaction_waits_for_a_dead_prefix_as_large_as_the_kept_tail() {
+        // Equal-sized entries told apart by their watermark.
+        let sealed = |k: u64| {
+            let mut ckpt = sample_checkpoint(4);
+            ckpt.watermark.frames = k;
+            ckpt
+        };
         let mut store = CheckpointStore::new();
-        for n in 1..=3 {
-            store.append(&sample_checkpoint(4));
+        for k in 1..=3 {
+            store.append(&sealed(k));
             // One dead entry against two kept ones: too small to move.
-            assert_eq!(store.compact(2), 0, "after seal {n}");
+            assert_eq!(store.retire_stale(), 0, "after seal {k}");
         }
-        store.append(&sample_checkpoint(4));
-        assert_eq!(store.compact(2), 2);
+        store.append(&sealed(4));
+        assert_eq!(store.retire_stale(), 2);
         let mut fresh = CheckpointStore::new();
-        fresh.append(&sample_checkpoint(4));
-        fresh.append(&sample_checkpoint(4));
+        fresh.append(&sealed(3));
+        fresh.append(&sealed(4));
         assert_eq!(store.as_bytes(), fresh.as_bytes());
         assert_eq!(store.entries(), 2);
         assert_eq!(store.newest_entry_start(), fresh.newest_entry_start());
-        assert_eq!(store.latest(), recover_latest(fresh.as_bytes()).unwrap());
-        // Everything dead: back to the bare header and its chain.
-        assert_eq!(store.compact(0), 2);
-        store.append(&sample_checkpoint(2));
-        let mut fresh = CheckpointStore::new();
-        fresh.append(&sample_checkpoint(2));
+        assert_eq!(
+            store.entry_at(&sealed(3).watermark),
+            Some(encode_checkpoint(&sealed(3)).as_slice())
+        );
+        assert_eq!(store.entry_at(&sealed(2).watermark), None);
+        // The re-chained tail keeps chaining like a fresh store.
+        store.append(&sealed(5));
+        fresh.append(&sealed(5));
         assert_eq!(store.as_bytes(), fresh.as_bytes());
     }
 
