@@ -27,10 +27,13 @@
 //! back) and sends the batch as one `WireRuns` message once it holds
 //! `WIRE_BATCH_RUNS` (16) runs, and at the end of every call that
 //! dispatched runs — `wire_push` and the two log replays — so a later
-//! barrier covers all of them. The shard pushes each run into its
-//! session's stream on its own, never coalesced, and hands the emptied
-//! buffers back through a per-shard free list, so the steady state
-//! allocates nothing. A 256-session fleet on two shards thus sends
+//! barrier covers all of them. The shard pushes each batch in rounds of
+//! distinct sessions, in arrival order: each round is one
+//! [`BeatStream::push_group`], so up to four sessions' hops share the
+//! zero-phase lane kernels, while every run keeps its own bounds and is
+//! never coalesced with another. It then hands the emptied buffers back
+//! through a per-shard free list, so the transport allocates nothing in
+//! the steady state. A 256-session fleet on two shards thus sends
 //! about 32 messages per 1 s slot instead of 512. The two halves need
 //! each other: recycling alone measured no consistent gain, and the
 //! same batches allocated fresh each time kept only about half of the
@@ -85,7 +88,7 @@ use cardiotouch_ingest::{
 use crate::config::PipelineConfig;
 use crate::scheduler::{MigratedSession, ScheduleReport, SessionFeed, SessionScheduler};
 use crate::snapshot::BeatStreamSnapshot;
-use crate::stream::{BeatStream, QualifiedBeat};
+use crate::stream::{BeatStream, GroupPush, QualifiedBeat};
 use crate::wire::{suffix_replay_failed, FrontDoor, WireSessionResult};
 use crate::CoreError;
 
@@ -472,6 +475,73 @@ impl ShardHealth {
     }
 }
 
+/// A shard's frame-driven wire sessions, beside its scheduler slab:
+/// each owns a plain [`BeatStream`] pushed with whatever sample runs the
+/// control thread's front door reassembles (no template feed), and the
+/// beats it emitted since the last drain.
+#[derive(Default)]
+struct WireSessions {
+    /// Each session's slot, in session order.
+    index: BTreeMap<u32, usize>,
+    slots: Vec<(BeatStream, Vec<QualifiedBeat>)>,
+    /// The runs of the round being gathered: slot, and offset and length
+    /// in the batch.
+    round: Vec<(usize, usize, usize)>,
+}
+
+impl WireSessions {
+    /// Opens `session` on `stream`, replacing any earlier state and
+    /// beats.
+    fn insert(&mut self, session: u32, stream: BeatStream) {
+        match self.index.get(&session) {
+            Some(&i) => self.slots[i] = (stream, Vec::new()),
+            None => {
+                self.index.insert(session, self.slots.len());
+                self.slots.push((stream, Vec::new()));
+            }
+        }
+    }
+
+    /// Pushes a batch's runs for known sessions in rounds of distinct
+    /// sessions, in arrival order: a round closes when a run for a
+    /// session already in it arrives. Each round is one
+    /// [`BeatStream::push_group`], so its sessions' hops share lane
+    /// kernels, while every run is still pushed with its own bounds —
+    /// never coalesced, because `push_qualified` is not chunk-size
+    /// invariant on gap-filled input. Returns the beats emitted.
+    fn push_batch(&mut self, batch: &WireBatch) -> usize {
+        let (mut at, mut emitted) = (0, 0);
+        for &(session, n) in &batch.runs {
+            if let Some(&slot) = self.index.get(&session) {
+                if self.round.iter().any(|&(s, _, _)| s == slot) {
+                    emitted += self.push_round(batch);
+                }
+                self.round.push((slot, at, n));
+            }
+            at += n;
+        }
+        emitted + self.push_round(batch)
+    }
+
+    /// Pushes the gathered round as one group and clears it.
+    fn push_round(&mut self, batch: &WireBatch) -> usize {
+        self.round.sort_unstable_by_key(|&(slot, _, _)| slot);
+        let (mut rest, mut base) = (&mut self.slots[..], 0);
+        let mut group = Vec::with_capacity(self.round.len());
+        for &(slot, at, n) in &self.round {
+            let (_, from) = std::mem::take(&mut rest).split_at_mut(slot - base);
+            let ((stream, beats), after) = from.split_first_mut().expect("rounds hold live slots");
+            (rest, base) = (after, slot + 1);
+            let (ecg, z) = (&batch.ecg[at..at + n], &batch.z[at..at + n]);
+            group.push(GroupPush::new(stream, ecg, z, beats));
+        }
+        self.round.clear();
+        // Channels come from the reassembler, equal-length by
+        // construction.
+        BeatStream::push_group(&mut group).unwrap_or(0)
+    }
+}
+
 /// Shard worker main loop: owns one scheduler slab, drains its mailbox
 /// until `Shutdown` (or the fleet drops the sender).
 fn shard_main(
@@ -489,10 +559,7 @@ fn shard_main(
         // reports `FleetWorkerLost` on first contact.
         Err(_) => return,
     };
-    // Frame-driven wire sessions live beside the scheduler slab: each
-    // owns a plain BeatStream pushed with whatever sample runs the
-    // control thread's front door reassembles, no template feed.
-    let mut wire: BTreeMap<u32, (BeatStream, Vec<crate::stream::QualifiedBeat>)> = BTreeMap::new();
+    let mut wire = WireSessions::default();
     let wire_beats = cardiotouch_obs::counter(&format!("core.fleet.shard{shard}.wire_beats"));
     loop {
         let cmd = match rx.recv_timeout(WORKER_IDLE_TICK) {
@@ -557,28 +624,16 @@ fn shard_main(
             ShardCmd::WireAdmit { session } => {
                 // Config was probed fleet-side; duplicate admissions
                 // keep the existing session state.
-                if let Ok(stream) = BeatStream::new(config) {
-                    wire.entry(session).or_insert((stream, Vec::new()));
+                if !wire.index.contains_key(&session) {
+                    if let Ok(stream) = BeatStream::new(config) {
+                        wire.insert(session, stream);
+                    }
                 }
             }
             ShardCmd::WireRuns(mut batch) => {
-                // Each run is pushed on its own, with its own bounds:
-                // `push_qualified` is not chunk-size invariant on
-                // gap-filled input, so runs are never coalesced.
-                let mut at = 0;
-                for &(session, n) in &batch.runs {
-                    let (ecg, z) = (&batch.ecg[at..at + n], &batch.z[at..at + n]);
-                    at += n;
-                    if let Some((stream, beats)) = wire.get_mut(&session) {
-                        // Channels come from the reassembler,
-                        // equal-length by construction.
-                        if let Ok(mut emitted) = stream.push_qualified(ecg, z) {
-                            if !emitted.is_empty() {
-                                wire_beats.add(emitted.len() as u64);
-                            }
-                            beats.append(&mut emitted);
-                        }
-                    }
+                let emitted = wire.push_batch(&batch);
+                if emitted > 0 {
+                    wire_beats.add(emitted as u64);
                 }
                 batch.runs.clear();
                 batch.ecg.clear();
@@ -588,8 +643,11 @@ fn shard_main(
                     .push(batch);
             }
             ShardCmd::WireCollect => {
-                let results = std::mem::take(&mut wire)
+                let WireSessions { index, slots, .. } = std::mem::take(&mut wire);
+                let mut slots: Vec<_> = slots.into_iter().map(Some).collect();
+                let results = index
                     .into_iter()
+                    .filter_map(|(session, i)| slots[i].take().map(|slot| (session, slot)))
                     .map(|(session, (stream, beats))| WireSessionResult {
                         session,
                         snapshot_bytes: stream.snapshot().into_bytes(),
@@ -603,11 +661,15 @@ fn shard_main(
             }
             ShardCmd::WireSnapshot => {
                 let sessions = wire
-                    .iter_mut()
-                    .map(|(&session, (stream, beats))| WireSessionSnapshot {
-                        session,
-                        snapshot_bytes: stream.snapshot().into_bytes(),
-                        drained: std::mem::take(beats),
+                    .index
+                    .iter()
+                    .map(|(&session, &i)| {
+                        let (stream, beats) = &mut wire.slots[i];
+                        WireSessionSnapshot {
+                            session,
+                            snapshot_bytes: stream.snapshot().into_bytes(),
+                            drained: std::mem::take(beats),
+                        }
                     })
                     .collect();
                 if events
@@ -628,9 +690,7 @@ fn shard_main(
                         .and_then(|snap| BeatStream::restore(config, &snap))
                 };
                 match stream {
-                    Ok(stream) => {
-                        wire.insert(session, (stream, Vec::new()));
-                    }
+                    Ok(stream) => wire.insert(session, stream),
                     Err(e) => {
                         let reason = format!("session {session} restore: {e}");
                         if events

@@ -11,7 +11,10 @@
 //!   delineator ([`cardiotouch_icg::online`]). Per-hop cost is O(hop),
 //!   independent of any window length; per-session memory is a few
 //!   seconds of signal (≈20 KB at 250 Hz — within the STM32L151's 48 KB
-//!   budget with room for the radio stack).
+//!   budget with room for the radio stack). [`BeatStream::push_group`]
+//!   runs the hops of several sessions stage-major, so their zero-phase
+//!   backward passes share lock-step lane kernels; per-hop scratch lives
+//!   in a per-thread workspace, not in the session.
 //! * [`ReanalysisBeatStream`] — the original windowed engine, kept as
 //!   the equivalence oracle and benchmark baseline: it re-runs the whole
 //!   block pipeline over a 20 s sliding window every 1 s hop, so each
@@ -23,12 +26,14 @@
 //! sample count, which makes its emissions bitwise chunk-size invariant
 //! (the windowed engine is only invariant up to the final partial hop).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cardiotouch_dsp::codec::{Reader, Writer};
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::fir::Fir;
+use cardiotouch_dsp::iir::LANES;
 use cardiotouch_dsp::streaming::{HistoryRing, StreamingDerivative, StreamingZeroPhase};
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::filtfilt_fir_span_into;
@@ -388,9 +393,6 @@ pub struct BeatStream {
     deriv: StreamingDerivative,
     lp: StreamingZeroPhase,
     hp: StreamingZeroPhase,
-    neg_buf: Vec<f64>,
-    lp_buf: Vec<f64>,
-    hp_buf: Vec<f64>,
     delineator: BeatDelineator,
     beats_scratch: Vec<OnlineBeat>,
     // --- observability (see DESIGN.md §6c) ---
@@ -437,6 +439,64 @@ pub struct BeatStream {
     /// and a map probe per hop showed up as the obs overhead
     /// regression).
     hop_us: cardiotouch_obs::Histogram,
+}
+
+/// Streams whose hops run stage-major together in
+/// [`BeatStream::push_group`]. Each hop gives both zero-phase stages two
+/// blocks, so four sessions fill the lane kernel's eight lanes; a wider
+/// group would only spill the hop's tails out of L1.
+pub const GROUP: usize = LANES / 2;
+
+/// One stream's chunk in [`BeatStream::push_group`], and where its beats
+/// go.
+#[derive(Debug)]
+pub struct GroupPush<'a> {
+    stream: &'a mut BeatStream,
+    ecg: &'a [f64],
+    z: &'a [f64],
+    beats: &'a mut Vec<QualifiedBeat>,
+    /// Pending samples consumed by this push's hops so far.
+    done: usize,
+    /// `beats.len()` when the push started.
+    before: usize,
+}
+
+impl<'a> GroupPush<'a> {
+    /// Pushes `ecg`/`z` into `stream`, appending its beats to `beats`.
+    pub fn new(
+        stream: &'a mut BeatStream,
+        ecg: &'a [f64],
+        z: &'a [f64],
+        beats: &'a mut Vec<QualifiedBeat>,
+    ) -> Self {
+        Self {
+            stream,
+            ecg,
+            z,
+            beats,
+            done: 0,
+            before: 0,
+        }
+    }
+
+    /// `true` while a whole hop is pending past the consumed ones.
+    fn hop_ready(&self) -> bool {
+        self.stream.pend_ecg.len() - self.done >= self.stream.hop
+    }
+}
+
+/// Per-thread hop workspace, one slot per group member: the hop's
+/// −dZ/dt, its LP output and its HP output. Pure workspace, never part
+/// of a stream's state.
+#[derive(Default)]
+struct HopWork {
+    neg: [Vec<f64>; GROUP],
+    lp: [Vec<f64>; GROUP],
+    hp: [Vec<f64>; GROUP],
+}
+
+thread_local! {
+    static HOP_WORK: RefCell<HopWork> = RefCell::new(HopWork::default());
 }
 
 impl BeatStream {
@@ -506,9 +566,6 @@ impl BeatStream {
                 block,
             )
             .aligned_to(StreamingDerivative::LATENCY + lp_settle),
-            neg_buf: Vec::new(),
-            lp_buf: Vec::new(),
-            hp_buf: Vec::new(),
             delineator: BeatDelineator::with_strategy(
                 fs,
                 config.x_search,
@@ -589,19 +646,68 @@ impl BeatStream {
         ecg: &[f64],
         z: &[f64],
     ) -> Result<Vec<QualifiedBeat>, CoreError> {
-        self.ingest_qualified(ecg, z)?;
-        let mut out = Vec::new();
-        let mut off = 0;
-        while self.pend_ecg.len() - off >= self.hop {
-            self.process_hop(off, &mut out);
-            off += self.hop;
+        let mut beats = Vec::new();
+        Self::push_group(&mut [GroupPush::new(self, ecg, z, &mut beats)])?;
+        Ok(beats)
+    }
+
+    /// Pushes one chunk into each of several streams and appends each
+    /// stream's beats to its own `beats`: for every stream, bit for bit
+    /// what [`BeatStream::push_qualified`] returns for its chunk, and the
+    /// same state after. Returns the number of beats emitted.
+    ///
+    /// Every chunk is ingested first. The completed hops then run
+    /// stage-major, [`GROUP`] streams at a time: the ECG path, the
+    /// derivative and any warm restart per stream, the LP and HP
+    /// zero-phase stages of the whole group through one
+    /// [`StreamingZeroPhase::push_group`] each, so the streams' forward
+    /// and backward passes share lock-step lane kernels, then delineation and
+    /// emission per stream. A stream with more hops pending keeps its
+    /// group until they are done; one with none skips every stage.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::ChannelLengthMismatch`] when any stream's chunks
+    ///   differ in length; no stream is touched then.
+    pub fn push_group(group: &mut [GroupPush<'_>]) -> Result<usize, CoreError> {
+        if let Some(p) = group.iter().find(|p| p.ecg.len() != p.z.len()) {
+            return Err(CoreError::ChannelLengthMismatch {
+                ecg_len: p.ecg.len(),
+                z_len: p.z.len(),
+            });
         }
-        self.pend_ecg.drain(..off);
-        self.pend_z.drain(..off);
-        if !out.is_empty() {
-            self.beats_emitted.add(out.len() as u64);
+        let mut emitted = 0;
+        for p in group.iter_mut() {
+            p.stream.ingest_qualified(p.ecg, p.z)?;
+            p.done = 0;
+            p.before = p.beats.len();
         }
-        Ok(out)
+        let mut ready = group.iter_mut().filter(|p| p.hop_ready());
+        loop {
+            let mut members: [Option<&mut GroupPush<'_>>; GROUP] = Default::default();
+            let n = members
+                .iter_mut()
+                .zip(&mut ready)
+                .map(|(slot, p)| *slot = Some(p))
+                .count();
+            if n == 0 {
+                break;
+            }
+            while members.iter().flatten().any(|p| p.hop_ready()) {
+                Self::hop_group(&mut members[..n]);
+            }
+        }
+        for p in group.iter_mut() {
+            let s = &mut *p.stream;
+            s.pend_ecg.drain(..p.done);
+            s.pend_z.drain(..p.done);
+            let n = p.beats.len() - p.before;
+            if n > 0 {
+                s.beats_emitted.add(n as u64);
+            }
+            emitted += n;
+        }
+        Ok(emitted)
     }
 
     /// Buffers one chunk through the degradation ladder and holdover
@@ -798,14 +904,74 @@ impl BeatStream {
         self.delineator.pad_to(self.processed);
     }
 
-    /// Consumes one exact hop starting at `off` in the pending buffers.
-    fn process_hop(&mut self, off: usize, out: &mut Vec<QualifiedBeat>) {
-        // Manual timing against the cached histogram handle: the
-        // `span!` macro resolves its histogram by name on every drop (a
-        // registry mutex, a map probe and a string allocation), which
-        // is exactly the per-hop overhead the 2 % obs budget forbids.
+    /// Runs one hop of every member with a whole hop pending,
+    /// stage-major (see [`Self::push_group`]).
+    ///
+    /// With obs on, each session hop records one `core.stream.hop_us`
+    /// sample: the group's wall time divided by its session hops. Manual
+    /// timing against the cached histogram handle: the `span!` macro
+    /// resolves its histogram by name on every drop (a registry mutex, a
+    /// map probe and a string allocation), which is exactly the per-hop
+    /// overhead the 2 % obs budget forbids. With obs off no clock is
+    /// read.
+    fn hop_group(members: &mut [Option<&mut GroupPush<'_>>]) {
         let t0 = cardiotouch_obs::enabled().then(|| cardiotouch_obs::registry().clock().now_ns());
+        // Members without a whole hop pending sit this hop out.
+        let mut hops = 0;
+        for i in 0..members.len() {
+            if members[i].as_ref().is_some_and(|p| p.hop_ready()) {
+                members.swap(hops, i);
+                hops += 1;
+            }
+        }
+        let members = &mut members[..hops];
+        HOP_WORK.with(|work| {
+            let HopWork { neg, lp, hp } = &mut *work.borrow_mut();
+            for (p, neg) in members.iter_mut().flatten().zip(neg.iter_mut()) {
+                p.stream.begin_hop(p.done, neg);
+            }
+            StreamingZeroPhase::push_group(
+                members
+                    .iter_mut()
+                    .flatten()
+                    .zip(neg.iter())
+                    .zip(lp.iter_mut())
+                    .map(|((p, neg), lp)| {
+                        lp.clear();
+                        (&mut p.stream.lp, &neg[..], lp)
+                    }),
+            );
+            StreamingZeroPhase::push_group(
+                members
+                    .iter_mut()
+                    .flatten()
+                    .zip(lp.iter())
+                    .zip(hp.iter_mut())
+                    .map(|((p, lp), hp)| {
+                        hp.clear();
+                        (&mut p.stream.hp, &lp[..], hp)
+                    }),
+            );
+            for (p, hp) in members.iter_mut().flatten().zip(hp.iter()) {
+                p.stream.finish_hop(hp, p.beats);
+                p.done += p.stream.hop;
+            }
+        });
+        if let Some(t0) = t0 {
+            let ns = cardiotouch_obs::registry()
+                .clock()
+                .now_ns()
+                .saturating_sub(t0);
+            for p in members.iter().flatten() {
+                p.stream.hop_us.record(ns / hops as u64 / 1_000);
+            }
+        }
+    }
 
+    /// The hop's front half, per session, for the hop starting at `off`
+    /// in the pending buffers: any due warm restart, the ECG ring and
+    /// online QRS detection, the Z0 running sum and −dZ/dt into `neg`.
+    fn begin_hop(&mut self, off: usize, neg: &mut Vec<f64>) {
         if self.take_restart() {
             self.warm_restart();
         }
@@ -818,28 +984,14 @@ impl BeatStream {
         let raw_rs = &mut self.raw_rs;
         self.qrs.push_chunk(ecg, |r| raw_rs.push_back(r));
 
-        // ICG: Z → Z0 running sum and −dZ/dt → streaming zero-phase
-        // chain → delineator.
-        self.neg_buf.clear();
+        // ICG: Z → Z0 running sum and −dZ/dt, which the group's
+        // zero-phase stages and the delineator take from here.
+        neg.clear();
         for &zv in &self.pend_z[off..off + hop] {
             self.z_sum += zv;
             if let Some(d) = self.deriv.push(zv) {
-                self.neg_buf.push(-d);
+                neg.push(-d);
             }
-        }
-        self.lp_buf.clear();
-        self.lp.push_chunk(&self.neg_buf, &mut self.lp_buf);
-        self.hp_buf.clear();
-        self.hp.push_chunk(&self.lp_buf, &mut self.hp_buf);
-
-        self.finish_hop(out);
-
-        if let Some(t0) = t0 {
-            let ns = cardiotouch_obs::registry()
-                .clock()
-                .now_ns()
-                .saturating_sub(t0);
-            self.hop_us.record(ns / 1_000);
         }
     }
 
@@ -862,12 +1014,12 @@ impl BeatStream {
         restart
     }
 
-    /// The hop's back half, consuming the conditioned `self.hp_buf`:
+    /// The hop's back half, consuming the hop's conditioned ICG `hp`:
     /// delineation, R refinement, buffer pruning, beat qualification.
-    fn finish_hop(&mut self, out: &mut Vec<QualifiedBeat>) {
+    fn finish_hop(&mut self, hp: &[f64], out: &mut Vec<QualifiedBeat>) {
         let hop = self.hop;
         let head = self.processed;
-        self.delineator.push_samples(&self.hp_buf);
+        self.delineator.push_samples(hp);
 
         // Refine and commit every raw R that now has full context.
         while let Some(&r) = self.raw_rs.front() {

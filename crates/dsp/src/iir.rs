@@ -101,23 +101,20 @@ impl Biquad {
         }
     }
 
-    /// [`Biquad::filter_in_place`] over two equal-length buffers in
-    /// lock-step. The two recursions are independent, so interleaving
-    /// them hides each one's dependent-multiply latency; every output is
-    /// bitwise what `filter_in_place` produces for its own buffer.
-    fn filter_pair_in_place(&self, a: &mut [f64], b: &mut [f64]) {
-        let (mut a1, mut a2, mut b1, mut b2) = (0.0, 0.0, 0.0, 0.0);
-        for (xa, xb) in a.iter_mut().zip(b.iter_mut()) {
-            let (ia, ib) = (*xa, *xb);
-            let ya = self.b0 * ia + a1;
-            let yb = self.b0 * ib + b1;
-            a1 = self.b1 * ia - self.a1 * ya + a2;
-            b1 = self.b1 * ib - self.a1 * yb + b2;
-            a2 = self.b2 * ia - self.a2 * ya;
-            b2 = self.b2 * ib - self.a2 * yb;
-            *xa = ya;
-            *xb = yb;
+    /// One step of `N` independent recursions in lock-step, registers
+    /// `s[0]` and `s[1]` per lane. Every lane does the operations of one
+    /// [`Biquad::filter_in_place`] step on its own input, so interleaving
+    /// the lanes hides each recursion's dependent-multiply latency
+    /// without changing a bit of its output.
+    #[inline(always)]
+    fn step_lanes<const N: usize>(&self, x: [f64; N], s: &mut [[f64; N]; 2]) -> [f64; N] {
+        let mut y = [0.0; N];
+        for j in 0..N {
+            y[j] = self.b0 * x[j] + s[0][j];
+            s[0][j] = self.b1 * x[j] - self.a1 * y[j] + s[1][j];
+            s[1][j] = self.b2 * x[j] - self.a2 * y[j];
         }
+        y
     }
 
     /// Complex magnitude response at normalised angular frequency
@@ -337,25 +334,35 @@ impl Butterworth {
         }
     }
 
-    /// Filters two equal-length buffers through the cascade in place,
-    /// each from zero state, section by section in lock-step. Each buffer
-    /// ends bitwise equal to what [`Butterworth::filter_in_place`] makes
-    /// of it; running the two independent recursions together roughly
-    /// halves the per-step latency of a single chain.
+    /// Filters any number of equal-length buffers through the cascade in
+    /// place, each from zero state, [`LANES`] at a time in lock-step.
+    /// Each buffer ends bitwise equal to what
+    /// [`Butterworth::filter_in_place`] makes of it; running independent
+    /// recursions together fills the execution ports that one chain's
+    /// latency leaves idle.
     ///
     /// # Errors
     ///
     /// [`DspError::LengthMismatch`] when the buffers differ in length
-    /// (neither is touched).
-    pub fn filter_pair_in_place(&self, a: &mut [f64], b: &mut [f64]) -> Result<(), DspError> {
-        if a.len() != b.len() {
+    /// (none is touched).
+    pub fn filter_lanes_in_place(&self, lanes: &mut [&mut [f64]]) -> Result<(), DspError> {
+        let len = lanes.first().map_or(0, |l| l.len());
+        if let Some(l) = lanes.iter().find(|l| l.len() != len) {
             return Err(DspError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
+                left: len,
+                right: l.len(),
             });
         }
-        for s in &self.sections {
-            s.filter_pair_in_place(a, b);
+        let mut rows = Vec::new();
+        for group in lanes.chunks_mut(LANES) {
+            let width = lane_width(group.len());
+            let io = &mut InPlace(group);
+            match width {
+                1 => cascade_lanes::<1>(&self.sections, len, 0, io, &mut rows),
+                2 => cascade_lanes::<2>(&self.sections, len, 0, io, &mut rows),
+                4 => cascade_lanes::<4>(&self.sections, len, 0, io, &mut rows),
+                _ => cascade_lanes::<LANES>(&self.sections, len, 0, io, &mut rows),
+            }
         }
         Ok(())
     }
@@ -375,6 +382,114 @@ impl Butterworth {
     pub fn is_stable(&self) -> bool {
         self.sections.iter().all(Biquad::is_stable)
     }
+}
+
+/// Recursions the lock-step kernels run side by side:
+/// [`Butterworth::filter_lanes_in_place`] and the backward passes of
+/// [`crate::streaming::StreamingZeroPhase::push_group`]. Eight chains of
+/// a biquad step fill the floating-point ports that one chain's
+/// mul → sub → add → add latency leaves idle; more would not fit the
+/// register file.
+pub const LANES: usize = 8;
+
+/// The kernel width that runs `lanes` recursions: the next of 1, 2, 4 or
+/// [`LANES`], the spare lanes padding. A padded lane costs less than a
+/// narrower second pass.
+pub(crate) fn lane_width(lanes: usize) -> usize {
+    lanes.next_power_of_two().min(LANES)
+}
+
+/// Where a lane kernel reads its input and writes its output.
+pub(crate) trait LaneIo<const N: usize> {
+    /// Input sample `i` of every lane.
+    fn load(&self, i: usize) -> [f64; N];
+    /// Output sample `i` of every lane.
+    fn store(&mut self, i: usize, y: [f64; N]);
+    /// The registers every lane starts section `k` from: zero unless the
+    /// lanes continue streams.
+    fn initial(&self, _k: usize) -> [[f64; N]; 2] {
+        [[0.0; N]; 2]
+    }
+    /// The registers every lane ends section `k` with.
+    fn finish(&mut self, _k: usize, _s: [[f64; N]; 2]) {}
+}
+
+/// Lanes filtered where they lie; spare lanes read zeros and keep
+/// nothing.
+struct InPlace<'a, 'b>(&'a mut [&'b mut [f64]]);
+
+impl<const N: usize> LaneIo<N> for InPlace<'_, '_> {
+    fn load(&self, i: usize) -> [f64; N] {
+        std::array::from_fn(|j| self.0.get(j).map_or(0.0, |l| l[i]))
+    }
+
+    fn store(&mut self, i: usize, y: [f64; N]) {
+        for (l, y) in self.0.iter_mut().zip(y) {
+            l[i] = y;
+        }
+    }
+}
+
+/// Runs `sections` over `N` lanes of `len` samples in lock-step, each
+/// section from `io.initial` registers, and hands outputs `keep..len` to
+/// `io.store` and each section's end registers to `io.finish`. The
+/// cascade runs section by section, as [`Butterworth::filter_in_place`]
+/// does with one lane: the first section reads through `io.load`, the
+/// later ones over `rows` (`N` values per sample), and the last keeps
+/// only what is asked for. Pipelining sections inside a lane row would
+/// need more live values than there are registers.
+pub(crate) fn cascade_lanes<const N: usize>(
+    sections: &[Biquad],
+    len: usize,
+    keep: usize,
+    io: &mut impl LaneIo<N>,
+    rows: &mut Vec<f64>,
+) {
+    let row = |r: &[f64]| -> [f64; N] { r.try_into().expect("rows are N wide") };
+    let Some((last, rest)) = sections.split_last() else {
+        for i in keep..len {
+            io.store(i, io.load(i));
+        }
+        return;
+    };
+    let lastk = sections.len() - 1;
+    let Some((first, middle)) = rest.split_first() else {
+        let mut s = io.initial(0);
+        for i in 0..keep {
+            last.step_lanes(io.load(i), &mut s);
+        }
+        for i in keep..len {
+            io.store(i, last.step_lanes(io.load(i), &mut s));
+        }
+        io.finish(0, s);
+        return;
+    };
+    if rows.len() < len * N {
+        rows.resize(len * N, 0.0);
+    }
+    let rows = &mut rows[..len * N];
+    let mut s = io.initial(0);
+    for (i, r) in rows.chunks_exact_mut(N).enumerate() {
+        r.copy_from_slice(&first.step_lanes(io.load(i), &mut s));
+    }
+    io.finish(0, s);
+    for (k, section) in (1..).zip(middle) {
+        let mut s = io.initial(k);
+        for r in rows.chunks_exact_mut(N) {
+            let y = section.step_lanes(row(r), &mut s);
+            r.copy_from_slice(&y);
+        }
+        io.finish(k, s);
+    }
+    let mut s = io.initial(lastk);
+    let (settling, kept) = rows.split_at(keep * N);
+    for r in settling.chunks_exact(N) {
+        last.step_lanes(row(r), &mut s);
+    }
+    for (i, r) in (keep..).zip(kept.chunks_exact(N)) {
+        io.store(i, last.step_lanes(row(r), &mut s));
+    }
+    io.finish(lastk, s);
 }
 
 #[cfg(test)]

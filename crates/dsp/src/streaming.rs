@@ -17,9 +17,15 @@
 //!   persistent state, and the anti-causal backward pass is re-run from
 //!   zero state over a bounded unsettled tail, emitting samples once
 //!   enough right-context has accumulated for the backward transient to
-//!   die out. Backward passes run register-resident, two blocks in
-//!   lock-step, in a per-thread workspace, so a stage's only state is its
-//!   forward registers, the sub-block input and the unsettled tail.
+//!   die out. Whole blocks go straight from the caller's chunk onto the
+//!   tail, and [`StreamingZeroPhase::push_group`] runs several stages'
+//!   forward passes in lock-step, one stage a lane, then the equal-length
+//!   backward windows of up to [`crate::iir::LANES`] blocks — both
+//!   blocks of each of four sessions' hops — through one lock-step lane
+//!   kernel that reads each window straight from its stage's tail and
+//!   writes only the settled samples, in a per-thread workspace. A
+//!   stage's only state is its forward registers, the sub-block input
+//!   and the unsettled tail; `push_chunk` is the group of one.
 //!
 //! All kernels share coefficient sets behind [`std::sync::Arc`] (obtained
 //! from [`crate::design_cache`]), so a thousand concurrent sessions hold
@@ -52,7 +58,7 @@ use std::sync::Arc;
 
 use crate::codec::{Reader, Writer};
 use crate::error::DspError;
-use crate::iir::Butterworth;
+use crate::iir::{cascade_lanes, lane_width, Butterworth, LaneIo, LANES};
 
 /// A causal Butterworth cascade with persistent per-section state — the
 /// streaming twin of [`Butterworth::filter_in_place`]. Coefficients stay
@@ -279,19 +285,23 @@ impl StreamingDerivative {
 /// `delay mod block` samples instead, so every block ends exactly where
 /// a `block`-multiple of the caller's clock lands in the stage's input.
 ///
-/// Complete blocks are taken two at a time: both are forward-filtered,
-/// and once their forward outputs exist the two backward passes are
-/// independent, so they run in lock-step through
-/// [`Butterworth::filter_pair_in_place`]. Each block's backward window is
-/// exactly the one a block-by-block pass would see, so the output does
-/// not depend on the pairing. The reflected, reversed windows are built
-/// in one per-thread workspace rather than a per-stage buffer; the only
-/// per-stage memory is the forward registers, `pending` (`< block`
-/// between calls) and `tail` (`≤ settle` between calls).
+/// Whole blocks go straight from the caller's chunk onto the tail; only
+/// a partial block is held in `pending`. [`Self::push_group`] runs the
+/// forward passes of several stages with equally many new samples in
+/// lock-step, one stage a lane, and once the forward outputs exist every
+/// block's backward pass is independent, so it runs the equal-length
+/// backward windows of several stages — several sessions' blocks —
+/// through one lock-step lane kernel ([`crate::iir::LANES`] wide). Each block's backward window is exactly
+/// the one a block-by-block pass would see, so the output depends neither
+/// on the grouping nor on the chunking. The windows are read straight
+/// from each stage's tail and only their settled samples are written, in
+/// one per-thread workspace; the only per-stage memory is the forward
+/// registers, `pending` (`< block` between calls) and `tail` (`≤ settle`
+/// between calls).
 #[derive(Debug, Clone)]
 pub struct StreamingZeroPhase {
     forward: StreamingCascade,
-    /// Raw input awaiting a complete block.
+    /// Raw input short of a whole block.
     pending: Vec<f64>,
     /// Forward-pass outputs not yet settled.
     tail: Vec<f64>,
@@ -309,24 +319,25 @@ pub struct StreamingZeroPhase {
     primed: bool,
 }
 
-thread_local! {
-    /// Per-thread backward-pass workspace: the reflected, reversed tail
-    /// windows of up to two blocks. Pure workspace, never part of a
-    /// stage's state; its size is bounded by `2 × (settle + block + ext)`
-    /// of the largest stage the thread runs, because `decode` rejects
-    /// tails longer than `settle`.
-    static BACKWARD_WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
+/// One stage's push in [`StreamingZeroPhase::push_group`]: the stage, its
+/// input chunk, and where its settled outputs are appended.
+pub type ZeroPhasePush<'a> = (&'a mut StreamingZeroPhase, &'a [f64], &'a mut Vec<f64>);
 
-/// One block's backward pass over the tail: `tail[lo..hi]`, newest first,
-/// primed by the `ext` samples before the newest in stream order. The
-/// oldest `settled` samples of the result are emitted.
+/// One block's backward pass in a group: `tail[lo..hi]` of the group's
+/// `stage`, newest first, primed by the `ext` samples before the newest
+/// in stream order. The oldest `settled` samples of the result are
+/// emitted, at `at` in the group's output buffer.
 #[derive(Debug, Clone, Copy)]
 struct BackwardWindow {
+    stage: usize,
+    /// Address of the stage's design: only windows under one filter
+    /// share a kernel call.
+    filter: usize,
     lo: usize,
     hi: usize,
     settled: usize,
     ext: usize,
+    at: usize,
 }
 
 impl BackwardWindow {
@@ -335,20 +346,197 @@ impl BackwardWindow {
         self.ext + self.hi - self.lo
     }
 
-    /// Writes the reflected, reversed sequence into `dst` (`len()` long).
-    fn fill(&self, tail: &[f64], dst: &mut [f64]) {
-        let (prime, reversed) = dst.split_at_mut(self.ext);
-        prime.copy_from_slice(&tail[self.hi - 1 - self.ext..self.hi - 1]);
-        for (d, &v) in reversed.iter_mut().zip(tail[self.lo..self.hi].iter().rev()) {
-            *d = v;
+    /// Windows of one shape run through one lane kernel call.
+    fn shape(&self) -> (usize, usize, usize, usize) {
+        (self.filter, self.len(), self.ext, self.settled)
+    }
+}
+
+/// Per-thread workspace of [`StreamingZeroPhase::push_group`]. Pure
+/// workspace, never part of a stage's state; `decode` bounds every tail
+/// by its `settle`, so its size is bounded by the stages the thread runs.
+struct GroupWork {
+    /// The group's backward windows.
+    windows: Vec<BackwardWindow>,
+    /// Settled outputs, window after window: each stage's contiguous and
+    /// oldest first.
+    settled: Vec<f64>,
+    /// Samples of padding lanes, never read.
+    spare: Vec<f64>,
+    /// Registers of padding forward lanes, never read.
+    spare_state: Vec<(f64, f64)>,
+    /// Section outputs between the first and the last section of a
+    /// cascade, one row of lanes per sample.
+    rows: Vec<f64>,
+}
+
+thread_local! {
+    static GROUP_WORK: RefCell<GroupWork> = const {
+        RefCell::new(GroupWork {
+            windows: Vec::new(),
+            settled: Vec::new(),
+            spare: Vec::new(),
+            spare_state: Vec::new(),
+            rows: Vec::new(),
+        })
+    };
+}
+
+/// A lane kernel's view of its windows: each lane reads its prime in
+/// stream order, then its body newest first, and keeps only its settled
+/// outputs, oldest first.
+struct Gather<'t, 'o, const N: usize> {
+    prime: [&'t [f64]; N],
+    body: [&'t [f64]; N],
+    dst: [&'o mut [f64]; N],
+    len: usize,
+    ext: usize,
+}
+
+impl<const N: usize> LaneIo<N> for Gather<'_, '_, N> {
+    #[inline(always)]
+    fn load(&self, i: usize) -> [f64; N] {
+        if i < self.ext {
+            std::array::from_fn(|j| self.prime[j][i])
+        } else {
+            let k = self.len - 1 - i;
+            std::array::from_fn(|j| self.body[j][k])
         }
     }
 
-    /// Appends the settled samples of the backward-filtered sequence,
-    /// oldest first (they sit at its end).
-    fn emit(&self, filtered: &[f64], out: &mut Vec<f64>) {
-        out.extend(filtered.iter().rev().take(self.settled));
+    #[inline(always)]
+    fn store(&mut self, i: usize, y: [f64; N]) {
+        let k = self.len - 1 - i;
+        for (d, y) in self.dst.iter_mut().zip(y) {
+            d[k] = y;
+        }
     }
+}
+
+/// Runs `lanes` — windows of one shape, at most [`LANES`], in ascending
+/// `at` — through one lane kernel call `N` wide, writing each one's
+/// settled outputs to its place in `settled`.
+fn backward_lanes<const N: usize>(
+    lanes: &[BackwardWindow],
+    tails: &[&[f64]; LANES],
+    filter: &Butterworth,
+    settled: &mut [f64],
+    spare: &mut Vec<f64>,
+    rows: &mut Vec<f64>,
+) {
+    let w = lanes[0];
+    let (len, ext, keep) = (w.len(), w.ext, w.settled);
+    // Padding lanes repeat the last window and write to `spare`.
+    let lane = |j: usize| lanes[j.min(lanes.len() - 1)];
+    let prime = std::array::from_fn(|j| {
+        let l = lane(j);
+        &tails[l.stage][l.hi - 1 - ext..l.hi - 1]
+    });
+    let body = std::array::from_fn(|j| {
+        let l = lane(j);
+        &tails[l.stage][l.lo..l.hi]
+    });
+    let padding = (N - lanes.len()) * keep;
+    if spare.len() < padding {
+        spare.resize(padding, 0.0);
+    }
+    let (mut rest, mut base) = (settled, 0);
+    let mut regions = lanes
+        .iter()
+        .map(|l| {
+            let (_, from) = std::mem::take(&mut rest).split_at_mut(l.at - base);
+            let (dst, after) = from.split_at_mut(keep);
+            (rest, base) = (after, l.at + keep);
+            dst
+        })
+        .chain(spare[..padding].chunks_exact_mut(keep));
+    let dst = std::array::from_fn(|_| regions.next().expect("one region per lane"));
+    let io = &mut Gather {
+        prime,
+        body,
+        dst,
+        len,
+        ext,
+    };
+    cascade_lanes::<N>(filter.sections(), len, len - keep, io, rows);
+}
+
+/// A lane kernel's view of forward passes: each lane filters its stage's
+/// new blocks in place, from and back to that stage's registers.
+struct Forward<'a, const N: usize> {
+    lanes: [ForwardLane<'a>; N],
+}
+
+/// A forward lane: the new tail samples and the stage's registers.
+type ForwardLane<'a> = (&'a mut [f64], &'a mut [(f64, f64)]);
+
+impl<const N: usize> LaneIo<N> for Forward<'_, N> {
+    #[inline(always)]
+    fn load(&self, i: usize) -> [f64; N] {
+        std::array::from_fn(|j| self.lanes[j].0[i])
+    }
+
+    #[inline(always)]
+    fn store(&mut self, i: usize, y: [f64; N]) {
+        for ((d, _), y) in self.lanes.iter_mut().zip(y) {
+            d[i] = y;
+        }
+    }
+
+    fn initial(&self, k: usize) -> [[f64; N]; 2] {
+        [
+            std::array::from_fn(|j| self.lanes[j].1[k].0),
+            std::array::from_fn(|j| self.lanes[j].1[k].1),
+        ]
+    }
+
+    fn finish(&mut self, k: usize, s: [[f64; N]; 2]) {
+        for (j, (_, state)) in self.lanes.iter_mut().enumerate() {
+            state[k] = (s[0][j], s[1][j]);
+        }
+    }
+}
+
+/// Forward-filters the `len` new tail samples from `start` on of each of
+/// `stages` — at most `N`, all under `filter` — in one lane kernel call.
+/// A stage alone takes [`StreamingCascade::process_in_place`], whose
+/// paired sections beat a one-lane kernel.
+fn forward_lanes<'s, const N: usize>(
+    filter: &Butterworth,
+    stages: impl Iterator<Item = (&'s mut StreamingZeroPhase, usize)>,
+    len: usize,
+    work: &mut GroupWork,
+) {
+    if N == 1 {
+        for (stage, start) in stages {
+            stage
+                .forward
+                .process_in_place(&mut stage.tail[start..start + len]);
+        }
+        return;
+    }
+    // Padding lanes filter zeros from zero registers.
+    let sections = filter.sections().len();
+    work.spare.clear();
+    work.spare.resize(N * len, 0.0);
+    work.spare_state.clear();
+    work.spare_state.resize(N * sections, (0.0, 0.0));
+    let mut lanes = stages
+        .map(|(stage, start)| {
+            (
+                &mut stage.tail[start..start + len],
+                &mut stage.forward.state[..],
+            )
+        })
+        .chain(
+            work.spare
+                .chunks_exact_mut(len)
+                .zip(work.spare_state.chunks_exact_mut(sections)),
+        );
+    let io = &mut Forward {
+        lanes: std::array::from_fn(|_| lanes.next().expect("one span per lane")),
+    };
+    cascade_lanes::<N>(filter.sections(), len, 0, io, &mut work.rows);
 }
 
 impl StreamingZeroPhase {
@@ -426,98 +614,212 @@ impl StreamingZeroPhase {
     /// sample to `out`. Output order across calls is the input order; the
     /// emitted stream lags the input by at most
     /// `settle_samples() + block_samples() − 1`, and by exactly
-    /// `settle_samples()` when the chunk ends on a block boundary.
+    /// `settle_samples()` when the chunk ends on a block boundary. This is
+    /// [`Self::push_group`] with a group of one.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
-        self.pending.extend_from_slice(chunk);
-        let first = self.next_block(self.primed);
-        if self.pending.len() < first {
-            return;
-        }
-        let end = first + (self.pending.len() - first) / self.block * self.block;
-        BACKWARD_WORK.with(|work| {
-            let work = &mut work.borrow_mut();
-            let mut lo = 0;
-            while lo < end {
-                let lens = [self.next_block(self.primed), self.block];
-                let count = if lo + lens[0] < end { 2 } else { 1 };
-                self.process_blocks(lo, &lens[..count], work, out);
-                lo += lens[..count].iter().sum::<usize>();
-            }
-        });
-        self.pending.drain(..end);
+        Self::push_group([(self, chunk, out)]);
     }
 
-    /// Forward-filters one or two blocks of the given lengths starting at
-    /// `pending[lo]` into the tail, runs each block's backward pass —
-    /// both in lock-step when their windows have the same length — and
-    /// emits the newly settled samples oldest-first.
-    fn process_blocks(
+    /// Pushes one chunk into each of several stages and appends each
+    /// stage's newly settled outputs to its own `out`: for every stage,
+    /// bit for bit what [`Self::push_chunk`] would append. The stages may
+    /// differ in design and geometry.
+    ///
+    /// Stages are taken [`LANES`] at a time. Each appends the whole
+    /// blocks its chunk completes to its tail, and stages under one
+    /// design with equally many new samples forward-filter them in
+    /// lock-step, one stage a lane. Then the backward windows of all of
+    /// them are sorted by shape (design, length, reflection, settled
+    /// count), and windows of one shape run [`LANES`] at a time in
+    /// lock-step. Sessions that share a block length and a hop therefore
+    /// share kernel calls, while a stage at its stream start or warm
+    /// restart simply falls into a narrower group.
+    pub fn push_group<'a>(group: impl IntoIterator<Item = ZeroPhasePush<'a>>) {
+        let mut group = group.into_iter();
+        GROUP_WORK.with(|work| {
+            let work = &mut *work.borrow_mut();
+            loop {
+                let mut members: [Option<ZeroPhasePush<'a>>; LANES] = Default::default();
+                let n = members
+                    .iter_mut()
+                    .zip(&mut group)
+                    .map(|(slot, push)| *slot = Some(push))
+                    .count();
+                if n == 0 {
+                    break;
+                }
+                Self::push_members(&mut members[..n], work);
+            }
+        });
+    }
+
+    /// [`Self::push_group`] for at most [`LANES`] stages.
+    fn push_members(members: &mut [Option<ZeroPhasePush<'_>>], work: &mut GroupWork) {
+        work.windows.clear();
+        let (mut ends, mut drained, mut spans, mut at) =
+            ([0; LANES], [0; LANES], [(0, 0); LANES], 0);
+        for (i, member) in members.iter_mut().enumerate() {
+            let (stage, chunk, _) = member.as_mut().expect("members are filled");
+            (drained[i], spans[i]) = stage.take_blocks(chunk, i, &mut work.windows, &mut at);
+            ends[i] = at;
+        }
+        // Forward passes: stages under one design with equally long new
+        // blocks step in lock-step, one stage a lane.
+        let design = |m: &Option<ZeroPhasePush<'_>>| m.as_ref().map_or(0, |m| m.0.design());
+        let mut done = [false; LANES];
+        for i in 0..members.len() {
+            let key = (design(&members[i]), spans[i].1);
+            if done[i] || key.1 == 0 {
+                continue;
+            }
+            let same: [bool; LANES] = std::array::from_fn(|j| {
+                j < members.len() && !done[j] && (design(&members[j]), spans[j].1) == key
+            });
+            for (d, s) in done.iter_mut().zip(same) {
+                *d |= s;
+            }
+            let filter = Arc::clone(
+                members[i]
+                    .as_ref()
+                    .expect("members are filled")
+                    .0
+                    .forward
+                    .filter(),
+            );
+            let group = members
+                .iter_mut()
+                .zip(spans)
+                .zip(same)
+                .filter(|(_, s)| *s)
+                .map(|((m, (start, _)), _)| {
+                    (&mut *m.as_mut().expect("members are filled").0, start)
+                });
+            let kernel = match lane_width(same.iter().filter(|&&s| s).count()) {
+                1 => forward_lanes::<1>,
+                2 => forward_lanes::<2>,
+                4 => forward_lanes::<4>,
+                _ => forward_lanes::<LANES>,
+            };
+            kernel(&filter, group, key.1, work);
+        }
+
+        let GroupWork {
+            windows,
+            settled,
+            spare,
+            rows,
+            ..
+        } = work;
+        if settled.len() < at {
+            settled.resize(at, 0.0);
+        }
+        let stage = |i: usize| members.get(i).and_then(Option::as_ref).map(|m| &*m.0);
+        let tails: [&[f64]; LANES] = std::array::from_fn(|i| stage(i).map_or(&[][..], |s| &s.tail));
+        windows.sort_unstable_by_key(|w| (w.shape(), w.at));
+        let mut rest = &windows[..];
+        while let Some(first) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|w| w.shape() == first.shape())
+                .count();
+            let filter = stage(first.stage)
+                .expect("windows come from members")
+                .forward
+                .filter();
+            for lanes in rest[..run].chunks(LANES) {
+                let kernel = match lane_width(lanes.len()) {
+                    1 => backward_lanes::<1>,
+                    2 => backward_lanes::<2>,
+                    4 => backward_lanes::<4>,
+                    _ => backward_lanes::<LANES>,
+                };
+                kernel(lanes, &tails, filter, settled, spare, rows);
+            }
+            rest = &rest[run..];
+        }
+        let mut from = 0;
+        for ((member, end), drained) in members.iter_mut().zip(ends).zip(drained) {
+            let (stage, _, out) = member.as_mut().expect("members are filled");
+            out.extend_from_slice(&settled[from..end]);
+            stage.tail.drain(..drained);
+            from = end;
+        }
+    }
+
+    /// Takes every whole block that `pending` and `chunk` complete. At a
+    /// stream start the forward state is primed first; the blocks are
+    /// appended to the tail straight from the chunk, and only the partial
+    /// block after them is kept in `pending`. Each block's backward window
+    /// goes to `windows` as the group's `stage`, its settled outputs
+    /// placed from `*at` on. Returns how many tail samples the windows
+    /// settle, and the tail span the forward pass must filter.
+    fn take_blocks(
         &mut self,
-        lo: usize,
-        lens: &[usize],
-        work: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
+        chunk: &[f64],
+        stage: usize,
+        windows: &mut Vec<BackwardWindow>,
+        at: &mut usize,
+    ) -> (usize, (usize, usize)) {
+        let held = self.pending.len();
+        let first = self.next_block(self.primed);
+        if held + chunk.len() < first {
+            self.pending.extend_from_slice(chunk);
+            return (0, (0, 0));
+        }
+        let end = first + (held + chunk.len() - first) / self.block * self.block;
+        let (taken, kept) = chunk.split_at(end - held);
         if !self.primed {
             // Mimic the batch left edge: run the forward state over an
             // even reflection of the first block so the first real sample
             // is approached from plausible history rather than silence.
-            let ext = self.ext.min(lens[0] - 1);
-            for i in (lo + 1..=lo + ext).rev() {
-                let _ = self.forward.push(self.pending[i]);
+            let input = |i: usize| {
+                if i < held {
+                    self.pending[i]
+                } else {
+                    taken[i - held]
+                }
+            };
+            for i in (1..=self.ext.min(first - 1)).rev() {
+                let _ = self.forward.push(input(i));
             }
             self.primed = true;
         }
         let start = self.tail.len();
-        let total: usize = lens.iter().sum();
-        self.tail.extend_from_slice(&self.pending[lo..lo + total]);
-        self.forward.process_in_place(&mut self.tail[start..]);
+        self.tail.reserve_exact(end);
+        self.tail.extend_from_slice(&self.pending);
+        self.tail.extend_from_slice(taken);
+        self.pending.clear();
+        self.pending.extend_from_slice(kept);
 
         // Each block's window is what a block-by-block pass sees: the
         // tail up to the block's end, minus what earlier blocks settled.
-        let mut windows = [None; 2];
-        let mut drained = 0;
-        let mut hi = start;
-        for (window, &len) in windows.iter_mut().zip(lens) {
+        let filter = self.design();
+        let (mut drained, mut hi, mut len) = (0, start, first);
+        while hi < start + end {
             hi += len;
+            len = self.block;
             let settled = (hi - drained).saturating_sub(self.settle);
             if settled > 0 {
-                *window = Some(BackwardWindow {
+                windows.push(BackwardWindow {
+                    stage,
+                    filter,
                     lo: drained,
                     hi,
                     settled,
                     ext: self.ext.min(hi - drained - 1),
+                    at: *at,
                 });
                 drained += settled;
+                *at += settled;
             }
         }
+        (drained, (start, end))
+    }
 
-        let filter = self.forward.filter();
-        let need = windows.iter().flatten().map(BackwardWindow::len).sum();
-        if work.len() < need {
-            work.resize(need, 0.0);
-        }
-        match windows {
-            [Some(a), Some(b)] if a.len() == b.len() => {
-                let (wa, wb) = work[..need].split_at_mut(a.len());
-                a.fill(&self.tail, wa);
-                b.fill(&self.tail, wb);
-                filter
-                    .filter_pair_in_place(wa, wb)
-                    .expect("the two halves of one split have equal length");
-                a.emit(wa, out);
-                b.emit(wb, out);
-            }
-            _ => {
-                for w in windows.iter().flatten() {
-                    let buf = &mut work[..w.len()];
-                    w.fill(&self.tail, buf);
-                    filter.filter_in_place(buf);
-                    w.emit(buf, out);
-                }
-            }
-        }
-        self.tail.drain(..drained);
+    /// Address of the stage's design: only stages and windows under one
+    /// filter share a kernel call.
+    fn design(&self) -> usize {
+        Arc::as_ptr(self.forward.filter()) as usize
     }
 
     /// Writes the mutable zero-phase state: forward-cascade registers,

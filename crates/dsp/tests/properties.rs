@@ -329,8 +329,9 @@ proptest! {
 }
 
 /// The block-by-block zero-phase stage as it stood before backward passes
-/// were paired: one backward pass per block, every recursion step through
-/// per-sample `StreamingCascade::push`, and a per-stage scratch buffer.
+/// ran in lock-step: one backward pass per block, every recursion step
+/// through per-sample `StreamingCascade::push`, every sample through
+/// `pending`, and a per-stage scratch buffer.
 /// The first block after a start or reset is `lead` samples short, the
 /// grid alignment of `StreamingZeroPhase::aligned_to`. It is the oracle
 /// `StreamingZeroPhase` must match bitwise.
@@ -644,101 +645,152 @@ proptest! {
     }
 
     #[test]
-    fn oracle_paired_zero_phase_bitwise_equals_block_by_block(
+    fn oracle_grouped_zero_phase_bitwise_equals_block_by_block(
         x in signal(0, 3000),
-        highpass in 0u32..2,
-        order in 1usize..9,
-        settle in 1usize..700,
-        ext in 0usize..1500,
-        block in 1usize..300,
+        stages in 1usize..=10,
+        shared in 0u32..3,
+        highpass in prop::collection::vec(0u32..2, 10),
+        orders in prop::collection::vec(1usize..9, 10),
+        settles in prop::collection::vec(1usize..700, 10),
+        exts in prop::collection::vec(0usize..1500, 10),
+        blocks in prop::collection::vec(1usize..300, 10),
+        firsts in prop::collection::vec(1usize..300, 10),
+        wraps in prop::collection::vec(0usize..3, 10),
         unit_block in 0u32..4,
-        first in 1usize..300,
-        wraps in 0usize..3,
         chunks in prop::collection::vec(0usize..700, 1..=12),
-        events in prop::collection::vec(0u32..10, 1..=12),
+        events in prop::collection::vec(0u32..12, 1..=12),
     ) {
+        // Stages share one geometry and design (their windows fill whole
+        // lane groups), alternate two, or each draw their own; groups
+        // past eight stages take the multi-pass path.
+        let geometry = |i: usize| match shared {
+            0 => 0,
+            1 => i % 2,
+            _ => i,
+        };
         // `block = 1` runs a backward pass per sample, so keep those
         // streams short; `ext` still exceeds the tail in most cases.
-        let (x, settle, ext, block) = if unit_block == 0 {
-            (&x[..x.len().min(600)], settle % 200 + 1, ext % 400, 1)
-        } else {
-            (&x[..], settle, ext, block)
+        let x = if unit_block == 0 { &x[..x.len().min(400)] } else { &x[..] };
+        let designs: Vec<Arc<Butterworth>> =
+            (0..10).map(|g| icg_design(highpass[g] == 1, orders[g])).collect();
+        let shape = |i: usize| {
+            let g = geometry(i);
+            let (settle, ext, block) = if unit_block == 0 {
+                (settles[g] % 150 + 1, exts[g] % 300, 1)
+            } else {
+                (settles[g], exts[g], blocks[g])
+            };
+            // First-block lengths span 1..=block (`block` is the
+            // unaligned grid); the upstream delay may exceed a block.
+            let lead = block - ((firsts[g] - 1) % block + 1);
+            (Arc::clone(&designs[g]), settle, ext, block, lead, lead + wraps[g] * block)
         };
-        // First-block lengths span 1..=block (`block` is the unaligned
-        // grid); the upstream delay may exceed a block.
-        let first = (first - 1) % block + 1;
-        let lead = block - first;
-        let delay = lead + wraps * block;
-        let f = icg_design(highpass == 1, order);
-        let fresh = || StreamingZeroPhase::new(Arc::clone(&f), settle, ext, block).aligned_to(delay);
-        let mut oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block, lead);
-        let mut stage = fresh();
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let mut fed = 0;
+        let fresh = |i: usize| {
+            let (f, settle, ext, block, _, delay) = shape(i);
+            StreamingZeroPhase::new(f, settle, ext, block).aligned_to(delay)
+        };
+        let fresh_oracle = |i: usize| {
+            let (f, settle, ext, block, lead, _) = shape(i);
+            BlockByBlockZeroPhase::new(f, settle, ext, block, lead)
+        };
+        let mut group: Vec<StreamingZeroPhase> = (0..stages).map(fresh).collect();
+        let mut oracles: Vec<BlockByBlockZeroPhase> = (0..stages).map(fresh_oracle).collect();
+        // Each stage reads the signal from its own offset, in its own
+        // rotation of the chunk sizes (0-length and multi-block chunks
+        // included), so stages drift in and out of step: some still
+        // unprimed, some just reset or restored.
+        let inputs: Vec<&[f64]> = (0..stages).map(|i| &x[(i * 53).min(x.len())..]).collect();
+        let mut fed = vec![0; stages];
+        let (mut got, mut want) = (vec![Vec::new(); stages], vec![Vec::new(); stages]);
         for k in 0..=64 {
-            // Cycle the chunk sizes (0-length and multi-block chunks
-            // included); whatever is left goes in as one final chunk.
-            let c = if k == 64 { x.len() - fed } else { chunks[k % chunks.len()].min(x.len() - fed) };
-            oracle.push_chunk(&x[fed..fed + c], &mut want);
-            stage.push_chunk(&x[fed..fed + c], &mut got);
-            fed += c;
-            prop_assert!(
-                bits(&got) == bits(&want),
-                "k={} fed={} settle={} ext={} block={} lead={}: {} vs {} samples",
-                k, fed, settle, ext, block, lead, got.len(), want.len()
+            let take: Vec<usize> = (0..stages)
+                .map(|i| {
+                    let left = inputs[i].len() - fed[i];
+                    if k == 64 { left } else { chunks[(k + i) % chunks.len()].min(left) }
+                })
+                .collect();
+            StreamingZeroPhase::push_group(
+                group.iter_mut().zip(got.iter_mut()).enumerate().map(|(i, (stage, out))| {
+                    (stage, &inputs[i][fed[i]..fed[i] + take[i]], out)
+                }),
             );
-            match events[k % events.len()] {
-                0 => {
-                    oracle.reset();
-                    stage.reset();
+            for i in 0..stages {
+                oracles[i].push_chunk(&inputs[i][fed[i]..fed[i] + take[i]], &mut want[i]);
+                fed[i] += take[i];
+                prop_assert!(
+                    bits(&got[i]) == bits(&want[i]),
+                    "k={} stage {} of {} fed={}: {} vs {} samples",
+                    k, i, stages, fed[i], got[i].len(), want[i].len()
+                );
+                match events[(k + 3 * i) % events.len()] {
+                    0 => {
+                        oracles[i].reset();
+                        group[i].reset();
+                    }
+                    1 => {
+                        // Migrate both sides through each other's
+                        // encodings, which carry every float as its bit
+                        // pattern.
+                        let (o, s) = (oracles[i].encode(), encoded(&group[i]));
+                        prop_assert_eq!(&o, &s);
+                        group[i] = fresh(i);
+                        group[i].decode(&mut Reader::new(&o)).unwrap();
+                        oracles[i] = fresh_oracle(i);
+                        oracles[i].decode(&s);
+                    }
+                    _ => {}
                 }
-                1 => {
-                    // Migrate both sides through each other's encodings,
-                    // which carry every float as its bit pattern.
-                    let (o, s) = (oracle.encode(), encoded(&stage));
-                    prop_assert_eq!(&o, &s);
-                    stage = fresh();
-                    stage.decode(&mut Reader::new(&o)).unwrap();
-                    oracle = BlockByBlockZeroPhase::new(Arc::clone(&f), settle, ext, block, lead);
-                    oracle.decode(&s);
-                }
-                _ => {}
             }
         }
-        prop_assert_eq!(fed, x.len());
-        prop_assert_eq!(oracle.encode(), encoded(&stage));
+        for i in 0..stages {
+            prop_assert_eq!(fed[i], inputs[i].len());
+            prop_assert_eq!(oracles[i].encode(), encoded(&group[i]));
+        }
     }
 
     #[test]
-    fn oracle_filter_pair_bitwise_equals_two_filter_in_place(
+    fn oracle_filter_lanes_bitwise_equals_section_by_section(
         x in signal(0, 4000),
+        lanes in 1usize..=8,
         highpass in 0u32..2,
         order in 1usize..17,
         skew in 1usize..40,
+        longer in 0usize..8,
+        spots in prop::collection::vec(0usize..4000, 0..=3),
+        kinds in prop::collection::vec(0usize..8, 3),
     ) {
-        // Orders 1..=16 span 1..=8 sections; lengths span 0..=2000.
-        // The oracle is the plain section-by-section cascade, not the
-        // paired-section `filter_in_place` kernel.
+        // Orders 1..=16 span 1..=8 sections; each lane is up to 4000 / n
+        // samples. The oracle is the plain section-by-section cascade,
+        // not the paired-section `filter_in_place` kernel.
         let f = icg_design(highpass == 1, order);
-        let n = x.len() / 2;
-        let (a0, b0) = (&x[..n], &x[n..2 * n]);
-        let (mut a, mut b) = (a0.to_vec(), b0.to_vec());
-        f.filter_pair_in_place(&mut a, &mut b).unwrap();
-        let (mut ra, mut rb) = (a0.to_vec(), b0.to_vec());
-        cascade_section_by_section(&f, &mut ra);
-        cascade_section_by_section(&f, &mut rb);
-        prop_assert!(bits(&a) == bits(&ra), "first buffer, n={} sections={}", n, f.sections().len());
-        prop_assert!(bits(&b) == bits(&rb), "second buffer, n={} sections={}", n, f.sections().len());
+        let mut x = x;
+        splice_awkward(&mut x, &spots, &kinds);
+        let n = x.len() / lanes;
+        let inputs: Vec<&[f64]> = x.chunks_exact(n.max(1)).take(lanes).collect();
+        let inputs: Vec<&[f64]> = (0..lanes).map(|j| inputs.get(j).map_or(&[][..], |l| &l[..n])).collect();
+        let mut bufs: Vec<Vec<f64>> = inputs.iter().map(|l| l.to_vec()).collect();
+        let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+        f.filter_lanes_in_place(&mut refs).unwrap();
+        for (j, (got, input)) in bufs.iter().zip(&inputs).enumerate() {
+            let mut want = input.to_vec();
+            cascade_section_by_section(&f, &mut want);
+            prop_assert!(
+                nan_blind_bits(got) == nan_blind_bits(&want),
+                "lane {} of {}, n={} sections={}", j, lanes, n, f.sections().len()
+            );
+        }
 
-        // Unequal lengths are an error, never a panic, and touch neither
+        // Unequal lengths are an error, never a panic, and touch no
         // buffer.
-        let mut longer = b0.to_vec();
-        longer.extend(std::iter::repeat(1.0).take(skew));
-        let mut a = a0.to_vec();
-        prop_assert!(f.filter_pair_in_place(&mut a, &mut longer).is_err());
-        prop_assert!(f.filter_pair_in_place(&mut longer, &mut a).is_err());
-        prop_assert_eq!(bits(&a), bits(a0));
-        prop_assert_eq!(bits(&longer[..n]), bits(b0));
+        if lanes >= 2 {
+            let mut bufs: Vec<Vec<f64>> = inputs.iter().map(|l| l.to_vec()).collect();
+            bufs[longer % lanes].extend(std::iter::repeat(1.0).take(skew));
+            let before: Vec<Vec<u64>> = bufs.iter().map(|b| bits(b)).collect();
+            let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+            prop_assert!(f.filter_lanes_in_place(&mut refs).is_err());
+            let after: Vec<Vec<u64>> = bufs.iter().map(|b| bits(b)).collect();
+            prop_assert_eq!(after, before);
+        }
     }
 
     #[test]

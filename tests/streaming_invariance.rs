@@ -6,7 +6,7 @@
 
 use cardiotouch::config::PipelineConfig;
 use cardiotouch::pipeline::BeatReport;
-use cardiotouch::stream::BeatStream;
+use cardiotouch::stream::{BeatStream, GroupPush};
 use cardiotouch_physio::path::Position;
 use cardiotouch_physio::scenario::{PairedRecording, Protocol};
 use cardiotouch_physio::subject::Population;
@@ -63,6 +63,44 @@ fn run_chunked(ecg: &[f64], z: &[f64], sizes: &[usize], drive: Drive) -> Vec<Bea
     out
 }
 
+/// Streams a recording through three engines pushed together with
+/// `BeatStream::push_group`, each in chunks cycling through `sizes` from
+/// its own place in the cycle — so the members' hops fall in and out of
+/// step and their zero-phase stages share lane kernels some hops and not
+/// others — and returns each engine's emissions.
+fn run_grouped(ecg: &[f64], z: &[f64], sizes: &[usize]) -> Vec<Vec<BeatReport>> {
+    let config = PipelineConfig::paper_default(FS);
+    let mut streams: Vec<BeatStream> = (0..3)
+        .map(|_| BeatStream::new(config).expect("valid config"))
+        .collect();
+    let mut outs = vec![Vec::new(); 3];
+    let mut at = [0; 3];
+    let mut k = 0;
+    while at.iter().any(|&a| a < ecg.len()) {
+        let take: Vec<usize> = (0..3)
+            .map(|m| sizes[(k + m) % sizes.len()].min(ecg.len() - at[m]))
+            .collect();
+        let mut group: Vec<GroupPush<'_>> = streams
+            .iter_mut()
+            .zip(outs.iter_mut())
+            .enumerate()
+            .map(|(m, (stream, out))| {
+                let span = at[m]..at[m] + take[m];
+                GroupPush::new(stream, &ecg[span.clone()], &z[span], out)
+            })
+            .collect();
+        BeatStream::push_group(&mut group).expect("push");
+        drop(group);
+        for (a, t) in at.iter_mut().zip(&take) {
+            *a += t;
+        }
+        k += 1;
+    }
+    outs.into_iter()
+        .map(|out| out.into_iter().map(|q| q.report).collect())
+        .collect()
+}
+
 /// Two emission sequences are identical in every field.
 fn assert_same(a: &[BeatReport], b: &[BeatReport]) {
     assert_eq!(a.len(), b.len(), "emission counts differ");
@@ -81,7 +119,8 @@ proptest! {
     /// Any chunking — one-sample trickle, odd primes, or one chunk far
     /// larger than the engine's internal buffers — yields bitwise
     /// identical emissions for the same signal, whether each chunk is
-    /// pushed or split into ingestion plus an empty drain.
+    /// pushed, split into ingestion plus an empty drain, or pushed in a
+    /// group of engines chunked out of step with each other.
     #[test]
     fn emissions_are_chunk_size_invariant(
         seed in 0u64..200,
@@ -92,6 +131,9 @@ proptest! {
         let reference = run_chunked(ecg, z, &[250], Drive::Push);
         assert_same(&reference, &run_chunked(ecg, z, &sizes, Drive::Push));
         assert_same(&reference, &run_chunked(ecg, z, &sizes, Drive::IngestThenDrain));
+        for grouped in run_grouped(ecg, z, &sizes) {
+            assert_same(&reference, &grouped);
+        }
     }
 
     /// One chunk spanning the *whole* recording (far beyond the windowed
